@@ -63,7 +63,6 @@ from .scoring import (
     compare_allocations,
     equation_score,
     score_allocation,
-    statistic_score,
 )
 from .simulation import (
     EquationErrorSummary,
@@ -76,14 +75,11 @@ from .workload import (
     BudgetAllocation,
     EquationSpec,
     MetricOptions,
-    StatTuple,
     StatisticSpec,
     Workload,
     allocation_to_dict,
-    consolidate,
     load_allocation,
     load_workload,
-    statistic_value,
     validate_allocation,
 )
 
@@ -111,7 +107,6 @@ __all__ = [
     "ResolutionTooCoarseError",
     "SimulationReport",
     "StatRef",
-    "StatTuple",
     "StatisticErrorSummary",
     "StatisticSpec",
     "TooManyStatisticsError",
@@ -121,7 +116,6 @@ __all__ = [
     "Workload",
     "allocation_to_dict",
     "compare_allocations",
-    "consolidate",
     "consumed_budget",
     "equation_score",
     "evaluate",
@@ -145,8 +139,6 @@ __all__ = [
     "simulate_pipeline",
     "simulate_with_series",
     "sqrt_rule_allocation",
-    "statistic_score",
-    "statistic_value",
     "uniform_allocation",
     "validate_allocation",
 ]

@@ -27,11 +27,9 @@ import numpy as np
 
 from .errors import NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 from .expressions import free_statistics
-from .propagation import gradient_at_reference
-from .scoring import score_allocation
+from .propagation import FirstOrderModel, budget_vector
+from .scoring import score_validated
 from .workload import BudgetAllocation, MetricOptions, Workload, allocation_to_dict, validate_allocation
-
-_SQRT2 = math.sqrt(2.0)
 
 _GRID_MAX_STATISTICS = 5
 _GRID_MIN_RESOLUTION = 10
@@ -56,69 +54,22 @@ class OptimizationResult:
         }
 
 
-def _analytic_options(options: MetricOptions | None, workload: Workload) -> MetricOptions:
+def _analytic_model(options: MetricOptions | None, workload: Workload) -> tuple[MetricOptions, FirstOrderModel]:
     options = options if options is not None else workload.options
     if options.estimator != "analytic":
         options = replace(options, estimator="analytic")
-    return options
+    return options, FirstOrderModel(workload, options.normalize_by_sensitivity)
 
 
-class _AnalyticModel:
-    """Vectorized closed-form metric over budget vectors.
-
-    Budgets are indexed in workload-statistic order. The equation part
-    precomputes, per equation j and statistic i, the constant
-    2 * gradient_ji^2 * sensitivity_i^2, so the predicted variance at a
-    budget vector b is just that matrix applied to 1/b^2.
-    """
-
-    def __init__(self, workload: Workload, options: MetricOptions):
-        self.ids = list(workload.statistic_ids)
-        sens = np.array([spec.sensitivity for spec in workload.statistics])
-        if options.normalize_by_sensitivity:
-            self.us_coeff = np.full(len(self.ids), _SQRT2)
-        else:
-            self.us_coeff = _SQRT2 * sens
-        refs = workload.reference_values()
-        rows = []
-        norms = []
-        for equation in workload.equations:
-            gradient = gradient_at_reference(equation.expression, refs)
-            row = np.zeros(len(self.ids))
-            for i, spec in enumerate(workload.statistics):
-                g = gradient.get(spec.id, 0.0)
-                row[i] = 2.0 * g * g * spec.sensitivity * spec.sensitivity
-            rows.append(row)
-            norms.append(equation.sensitivity if options.normalize_by_sensitivity else 1.0)
-        self.weights = np.array(rows) if rows else np.zeros((0, len(self.ids)))
-        self.norms = np.array(norms) if norms else np.zeros(0)
-
-    def metric(self, budgets: np.ndarray) -> float:
-        inv = 1.0 / budgets
-        value = float(self.us_coeff @ inv)
-        if self.weights.shape[0]:
-            variances = self.weights @ (inv * inv)
-            value += float(np.sum(np.sqrt(variances) / self.norms))
-        return value
-
-    def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
-        inv = 1.0 / budget_rows
-        values = inv @ self.us_coeff
-        if self.weights.shape[0]:
-            variances = (inv * inv) @ self.weights.T
-            values = values + (np.sqrt(variances) / self.norms).sum(axis=1)
-        return values
-
-    def gradient(self, budgets: np.ndarray) -> np.ndarray:
-        grad = -self.us_coeff / (budgets * budgets)
-        if self.weights.shape[0]:
-            inv_sq = 1.0 / (budgets * budgets)
-            rmse = np.sqrt(self.weights @ inv_sq)
-            active = rmse > 0.0
-            if active.any():
-                coeff = 1.0 / (rmse[active] * self.norms[active])
-                grad = grad - (coeff @ self.weights[active]) / (budgets**3)
-        return grad
+def _result(
+    workload: Workload, model: FirstOrderModel, options: MetricOptions, budgets: np.ndarray, **fields
+) -> OptimizationResult:
+    """Validates the optimizer's budgets and reports them with their scored metric."""
+    allocation = validate_allocation(
+        workload, {stat_id: float(b) for stat_id, b in zip(workload.statistic_ids, budgets)}
+    )
+    metric = score_validated(model, workload, allocation, options, None).metric
+    return OptimizationResult(allocation=allocation, metric=metric, **fields)
 
 
 def _floor_and_fill(budgets: np.ndarray, epsilon: float, floor: float) -> np.ndarray:
@@ -145,12 +96,6 @@ def _floor_and_fill(budgets: np.ndarray, epsilon: float, floor: float) -> np.nda
     return budgets
 
 
-def _to_allocation(workload: Workload, budgets: np.ndarray) -> BudgetAllocation:
-    return validate_allocation(
-        workload, {stat_id: float(b) for stat_id, b in zip(workload.statistic_ids, budgets)}
-    )
-
-
 def uniform_allocation(workload: Workload) -> BudgetAllocation:
     """Splits epsilon evenly across the statistics."""
     share = workload.epsilon / len(workload.statistics)
@@ -168,35 +113,22 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
     Raises:
         NotSeparableError: some equation couples several statistics.
     """
-    options = _analytic_options(options, workload)
     for equation in workload.equations:
         used = free_statistics(equation.expression)
         if len(used) > 1:
             raise NotSeparableError(
                 f"equation {equation.id!r} couples statistics {sorted(used)}; no closed form applies"
             )
-    index_of = {stat_id: i for i, stat_id in enumerate(workload.statistic_ids)}
-    sens = np.array([spec.sensitivity for spec in workload.statistics])
-    if options.normalize_by_sensitivity:
-        coeff = np.full(len(index_of), _SQRT2)
-    else:
-        coeff = _SQRT2 * sens
-    refs = workload.reference_values()
-    for equation in workload.equations:
-        used = free_statistics(equation.expression)
-        if not used:
-            continue
-        stat_id = next(iter(used))
-        g = gradient_at_reference(equation.expression, refs)[stat_id]
-        norm = equation.sensitivity if options.normalize_by_sensitivity else 1.0
-        i = index_of[stat_id]
-        coeff[i] += _SQRT2 * abs(g) * sens[i] / norm
+    options, model = _analytic_model(options, workload)
+    # Every model row has at most one entry, so equation j adds
+    # sqrt(weight_j) / norm_j to its statistic's c_i.
+    coeff = model.us_coeff + np.bincount(
+        model.cols, np.sqrt(model.weights) / model.norms[model.rows], minlength=model.us_coeff.size
+    )
     roots = np.sqrt(coeff)
     budgets = workload.epsilon * roots / roots.sum()
     budgets = _floor_and_fill(budgets, workload.epsilon, workload.min_budget)
-    allocation = _to_allocation(workload, budgets)
-    metric = score_allocation(workload, allocation, options).metric
-    return OptimizationResult(allocation=allocation, metric=metric, iterations=0, converged=True, method="sqrt_rule")
+    return _result(workload, model, options, budgets, iterations=0, converged=True, method="sqrt_rule")
 
 
 @functools.lru_cache(maxsize=8)
@@ -233,8 +165,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
         raise TooManyStatisticsError(f"grid search supports at most {_GRID_MAX_STATISTICS} statistics, got {count}")
     if resolution < _GRID_MIN_RESOLUTION:
         raise ResolutionTooCoarseError(f"resolution must be at least {_GRID_MIN_RESOLUTION}, got {resolution}")
-    options = _analytic_options(options, workload)
-    model = _AnalyticModel(workload, options)
+    options, model = _analytic_model(options, workload)
     unit = workload.epsilon / resolution
     floor = workload.min_budget
     compositions = _compositions(resolution, count)
@@ -258,22 +189,16 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
             best_row = budgets[i].copy()
     if best_row is None:
         raise ResolutionTooCoarseError("no lattice cell satisfies the positivity floor")
-    allocation = _to_allocation(workload, best_row)
-    metric = score_allocation(workload, allocation, options).metric
-    return OptimizationResult(
-        allocation=allocation, metric=metric, iterations=evaluated, converged=True, method="grid"
-    )
+    return _result(workload, model, options, best_row, iterations=evaluated, converged=True, method="grid")
 
 
 def objective_gradient(
     workload: Workload, allocation: BudgetAllocation, options: MetricOptions | None = None
 ) -> dict[str, float]:
     """Exact partial derivatives of the closed-form metric per budget."""
-    options = _analytic_options(options, workload)
     allocation = validate_allocation(workload, allocation)
-    model = _AnalyticModel(workload, options)
-    budgets = np.array([allocation.budgets[stat_id] for stat_id in workload.statistic_ids])
-    gradient = model.gradient(budgets)
+    _, model = _analytic_model(options, workload)
+    gradient = model.gradient(budget_vector(workload, allocation))
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}
 
 
@@ -294,8 +219,7 @@ def optimize_descent(
     underflows; hitting ``max_iters`` first reports converged=False with
     the best allocation found.
     """
-    options = _analytic_options(options, workload)
-    model = _AnalyticModel(workload, options)
+    options, model = _analytic_model(options, workload)
     epsilon = workload.epsilon
     floor = workload.min_budget
     count = len(workload.statistic_ids)
@@ -322,8 +246,4 @@ def optimize_descent(
             if eta < 1e-18:
                 converged = True
                 break
-    allocation = _to_allocation(workload, budgets)
-    metric = score_allocation(workload, allocation, options).metric
-    return OptimizationResult(
-        allocation=allocation, metric=metric, iterations=iterations, converged=converged, method="descent"
-    )
+    return _result(workload, model, options, budgets, iterations=iterations, converged=converged, method="descent")

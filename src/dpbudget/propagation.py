@@ -43,6 +43,8 @@ HEAVY_TAIL_FRACTION = 0.001
 # Fraction of samples dropped from each tail for the trimmed rmse.
 TRIM_PER_TAIL = 0.0005
 
+_SQRT2 = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class MonteCarloDetail:
@@ -108,6 +110,92 @@ def _value_and_gradient(node: Expr, refs: Mapping[str, float]) -> tuple[float, d
     raise TypeError(f"not an expression node: {node!r}")
 
 
+class FirstOrderModel:
+    """Sparse first-order (closed-form) metric of a workload over budget vectors.
+
+    Built once per public call from one gradient per equation. For every
+    nonzero partial g of equation j in statistic i it stores the row j,
+    the column i and the weight 2 * g^2 * sensitivity_i^2, so equation j's
+    predicted variance at budgets b is the row sum of weight / b_i^2. Cost
+    is linear in the Jacobian's nonzeros. Budget vectors are indexed in
+    workload-statistic order and are not validated here.
+    """
+
+    def __init__(self, workload: Workload, normalize: bool):
+        sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+        self.us_coeff = np.full(sens.size, _SQRT2) if normalize else _SQRT2 * sens
+        self.rows, self.cols, self.weights = _jacobian_weights(
+            workload, [equation.expression for equation in workload.equations]
+        )
+        self.n_eq = len(workload.equations)
+        self.norms = np.array(
+            [equation.sensitivity if normalize else 1.0 for equation in workload.equations], dtype=float
+        )
+
+    def variances(self, budgets: np.ndarray) -> np.ndarray:
+        """Predicted output-noise variance of every equation."""
+        return _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
+
+    def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-statistic and per-equation scores (the report's us/ue terms)."""
+        return self.us_coeff / budgets, np.sqrt(self.variances(budgets)) / self.norms
+
+    def metric(self, budgets: np.ndarray) -> float:
+        statistic_part, equation_part = self.terms(budgets)
+        return float(statistic_part.sum() + equation_part.sum())
+
+    def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
+        """Metric of each row, through a dense equations x statistics view;
+        meant for few statistics."""
+        dense = np.zeros((self.n_eq, self.us_coeff.size))
+        dense[self.rows, self.cols] = self.weights
+        inv = 1.0 / budget_rows
+        return inv @ self.us_coeff + (np.sqrt((inv * inv) @ dense.T) / self.norms).sum(axis=1)
+
+    def gradient(self, budgets: np.ndarray) -> np.ndarray:
+        """Exact partial derivatives of the metric per budget."""
+        rmse = np.sqrt(self.variances(budgets))
+        active = rmse > 0.0
+        scale = np.zeros(self.n_eq)
+        scale[active] = 1.0 / (rmse[active] * self.norms[active])
+        equation_part = np.bincount(self.cols, self.weights * scale[self.rows], minlength=self.us_coeff.size)
+        return -self.us_coeff / (budgets * budgets) - equation_part / budgets**3
+
+
+def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarray:
+    """Budgets of a validated allocation in workload-statistic order."""
+    return np.array([allocation.budgets[stat_id] for stat_id in workload.statistic_ids], dtype=float)
+
+
+def _jacobian_weights(workload: Workload, expressions: list[Expr]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (row, column, 2 * g^2 * sensitivity^2) arrays of the nonzero partials.
+
+    Entries run by expression, then by statistic index. The gradient dict's
+    own order follows set iteration and so varies between processes; the
+    fixed order keeps every sum, and so every report, byte-identical.
+    """
+    refs = workload.reference_values()
+    index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
+    rows: list[int] = []
+    cols: list[int] = []
+    weights: list[float] = []
+    for row, ast in enumerate(expressions):
+        gradient = gradient_at_reference(ast, refs)
+        for col, g in sorted((index_of[name], g) for name, g in gradient.items() if g != 0.0):
+            s = workload.statistics[col].sensitivity
+            rows.append(row)
+            cols.append(col)
+            weights.append(2.0 * g * g * s * s)
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(weights, dtype=float)
+
+
+def _variances(rows: np.ndarray, weights: np.ndarray, entry_budgets: np.ndarray, n_rows: int) -> np.ndarray:
+    """The closed form: per row, the sum of weight / budget^2 over its entries,
+    where ``entry_budgets`` holds each entry's statistic budget."""
+    inv = 1.0 / entry_budgets
+    return np.bincount(rows, weights * (inv * inv), minlength=n_rows)
+
+
 def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: BudgetAllocation) -> PropagationResult:
     """First-order prediction of the equation's output-noise variance.
 
@@ -119,15 +207,10 @@ def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: Budge
     the true variance is infinite and this prediction understates it.
     """
     allocation = validate_allocation(workload, allocation)
-    gradient = gradient_at_reference(ast, workload.reference_values())
-    terms = []
-    for spec in workload.statistics:
-        g = gradient.get(spec.id)
-        if g is None:
-            continue
-        scale = spec.sensitivity / allocation.budgets[spec.id]
-        terms.append(g * g * 2.0 * scale * scale)
-    variance = math.fsum(terms)
+    rows, cols, weights = _jacobian_weights(workload, [ast])
+    ids = workload.statistic_ids
+    entry_budgets = np.array([allocation.budgets[ids[col]] for col in cols.tolist()], dtype=float)
+    variance = float(_variances(rows, weights, entry_budgets, 1)[0])
     return PropagationResult(variance=variance, rmse=math.sqrt(variance), method="analytic")
 
 
@@ -151,7 +234,13 @@ def propagate_variance_montecarlo(
         DivisionNearZeroError: the expression is degenerate at the
             reference point itself.
     """
-    allocation = validate_allocation(workload, allocation)
+    return montecarlo_kernel(ast, workload, validate_allocation(workload, allocation), samples, seed)
+
+
+def montecarlo_kernel(
+    ast: Expr, workload: Workload, allocation: BudgetAllocation, samples: int, seed: int
+) -> PropagationResult:
+    """propagate_variance_montecarlo on an allocation the caller has validated."""
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples!r}")
     refs = workload.reference_values()

@@ -12,18 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .propagation import propagate_variance_analytic, propagate_variance_montecarlo
-from .workload import (
-    BudgetAllocation,
-    EquationSpec,
-    MetricOptions,
-    StatTuple,
-    Workload,
-    consolidate,
-    validate_allocation,
+from .propagation import (
+    FirstOrderModel,
+    budget_vector,
+    montecarlo_kernel,
+    propagate_variance_analytic,
+    propagate_variance_montecarlo,
 )
-
-_SQRT2 = math.sqrt(2.0)
+from .workload import BudgetAllocation, EquationSpec, MetricOptions, Workload, validate_allocation
 
 
 @dataclass(frozen=True)
@@ -62,21 +58,6 @@ class RankedAllocation:
         return entry
 
 
-def statistic_score(record: StatTuple, options: MetricOptions) -> float:
-    """Noise rmse of one released statistic: sqrt(2) * sensitivity / budget.
-
-    With normalization on, the rmse is divided by the sensitivity, which
-    leaves sqrt(2) / budget regardless of the statistic's scale.
-    """
-    if not record.sensitivity > 0:
-        raise ValueError(f"NonPositiveSensitivity: sensitivity must be positive, got {record.sensitivity!r}")
-    if not record.budget > 0:
-        raise ValueError(f"NonPositiveBudget: budget must be positive, got {record.budget!r}")
-    if options.normalize_by_sensitivity:
-        return _SQRT2 / record.budget
-    return _SQRT2 * record.sensitivity / record.budget
-
-
 def equation_score(
     equation: EquationSpec,
     workload: Workload,
@@ -109,16 +90,36 @@ def score_allocation(
     options: MetricOptions | None = None,
     seed: int | None = None,
 ) -> UtilityReport:
-    """Scores an allocation: sum of all statistic and equation scores."""
+    """Scores an allocation: sum of all statistic and equation scores.
+
+    A statistic's score is sqrt(2) * sensitivity / budget, the rmse of its
+    Laplace noise (sqrt(2) / budget with normalization on). Analytic
+    equation scores come from one sparse first-order model, built once.
+    """
     options = options if options is not None else workload.options
     allocation = validate_allocation(workload, allocation)
-    us_terms: dict[str, float] = {}
-    for spec, record in zip(workload.statistics, consolidate(workload, allocation)):
-        us_terms[spec.id] = statistic_score(record, options)
-    ue_terms = {
-        equation.id: equation_score(equation, workload, allocation, options, seed)
-        for equation in workload.equations
-    }
+    model = FirstOrderModel(workload, options.normalize_by_sensitivity)
+    return score_validated(model, workload, allocation, options, seed)
+
+
+def score_validated(
+    model: FirstOrderModel,
+    workload: Workload,
+    allocation: BudgetAllocation,
+    options: MetricOptions,
+    seed: int | None,
+) -> UtilityReport:
+    """score_allocation on a validated allocation and a model built for ``options``."""
+    statistic_part, equation_part = model.terms(budget_vector(workload, allocation))
+    if options.estimator == "montecarlo":
+        if seed is None:
+            raise ValueError("the montecarlo estimator requires an explicit seed")
+        equation_part = [
+            montecarlo_kernel(equation.expression, workload, allocation, options.mc_samples, seed).rmse / norm
+            for equation, norm in zip(workload.equations, model.norms.tolist())
+        ]
+    us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
+    ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
     metric = math.fsum(us_terms.values()) + math.fsum(ue_terms.values())
     return UtilityReport(metric=metric, us_terms=us_terms, ue_terms=ue_terms, options=options)
 
@@ -135,7 +136,10 @@ def compare_allocations(
     """
     if len(allocations) < 2:
         raise ValueError(f"need at least two allocations to compare, got {len(allocations)}")
-    scored = [(name, score_allocation(workload, allocation, options, seed)) for name, allocation in allocations]
+    options = options if options is not None else workload.options
+    validated = [(name, validate_allocation(workload, allocation)) for name, allocation in allocations]
+    model = FirstOrderModel(workload, options.normalize_by_sensitivity)
+    scored = [(name, score_validated(model, workload, allocation, options, seed)) for name, allocation in validated]
     order = sorted(range(len(scored)), key=lambda i: scored[i][1].metric)
     return [
         RankedAllocation(name=scored[i][0], rank=position + 1, report=scored[i][1])

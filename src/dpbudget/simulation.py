@@ -12,7 +12,7 @@ import numpy as np
 from .errors import HeavyTailWarning
 from .expressions import evaluate, evaluate_batch, free_statistics
 from .noise import noise_stream, sample_noise_batch
-from .propagation import HEAVY_TAIL_FRACTION, propagate_variance_analytic, trimmed_rmse
+from .propagation import HEAVY_TAIL_FRACTION, FirstOrderModel, budget_vector, trimmed_rmse
 from .workload import BudgetAllocation, Workload, validate_allocation
 
 _SQRT2 = math.sqrt(2.0)
@@ -106,8 +106,10 @@ def simulate_with_series(
             predicted_rmse=_SQRT2 * scale,
         )
 
+    model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
+    predicted = np.sqrt(model.variances(budget_vector(workload, allocation))).tolist()
     per_equation: dict[str, EquationErrorSummary] = {}
-    for equation in workload.equations:
+    for equation, predicted_rmse in zip(workload.equations, predicted):
         reference_output = evaluate(equation.expression, refs)
         invalid = np.zeros(trials, dtype=bool)
         used = free_statistics(equation.expression)
@@ -123,12 +125,11 @@ def simulate_with_series(
                 f"equation {equation.id!r}: {excluded} of {trials} trials hit near-zero denominators"
             )
         kept = errors[~invalid] if excluded else errors
-        predicted = propagate_variance_analytic(equation.expression, workload, allocation).rmse
         per_equation[equation.id] = EquationErrorSummary(
             empirical_rmse=float(np.sqrt(np.mean(np.square(kept)))),
             trimmed_rmse=trimmed_rmse(kept),
             bias=float(np.mean(kept)),
-            predicted_rmse=predicted,
+            predicted_rmse=predicted_rmse,
         )
         errors = errors.copy()
         errors[invalid] = np.nan

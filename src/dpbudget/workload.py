@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from .errors import MissingValueError, ValidationError, ValidationIssue
+from .errors import ValidationError, ValidationIssue
 from .expressions import Expr, ExpressionParseError, free_statistics, format_expression, parse_expression
 
 # Relative tolerance on |sum(budgets) - epsilon|.
@@ -139,20 +139,6 @@ class BudgetAllocation:
     """Per-statistic budgets. Treat as immutable once constructed."""
 
     budgets: dict[str, float]
-
-
-@dataclass(frozen=True)
-class StatTuple:
-    """Consolidated per-statistic record: value, sensitivity, budget."""
-
-    value: float
-    sensitivity: float
-    budget: float
-
-
-def statistic_value(record: StatTuple) -> float:
-    """Reads the statistic value out of a consolidated record."""
-    return record.value
 
 
 def _as_number(value: Any) -> float | None:
@@ -555,30 +541,3 @@ def load_allocation(document: str | Mapping[str, Any], workload: Workload) -> Bu
 def allocation_to_dict(allocation: BudgetAllocation) -> dict[str, Any]:
     return {"budgets": dict(allocation.budgets)}
 
-
-def consolidate(
-    workload: Workload,
-    allocation: BudgetAllocation,
-    values: Mapping[str, float] | None = None,
-) -> list[StatTuple]:
-    """Zips values, sensitivities, and budgets into per-statistic records.
-
-    ``values`` defaults to the workload's reference values; pass released
-    (noisy) values to consolidate an actual release. Order matches
-    ``workload.statistics``.
-    """
-    allocation = validate_allocation(workload, allocation)
-    if values is None:
-        values = workload.reference_values()
-    records = []
-    for spec in workload.statistics:
-        if spec.id not in values:
-            raise MissingValueError(spec.id)
-        records.append(
-            StatTuple(
-                value=float(values[spec.id]),
-                sensitivity=spec.sensitivity,
-                budget=allocation.budgets[spec.id],
-            )
-        )
-    return records

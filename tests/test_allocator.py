@@ -9,12 +9,15 @@ from dpbudget import (
     grid_search,
     objective_gradient,
     optimize_descent,
+    gradient_at_reference,
+    propagate_variance_analytic,
     score_allocation,
+    simulate_pipeline,
     sqrt_rule_allocation,
     uniform_allocation,
     validate_allocation,
 )
-from dpbudget.allocator import _AnalyticModel
+from dpbudget.propagation import FirstOrderModel, budget_vector
 from dpbudget.errors import NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 
 from helpers import allocation, make_workload, paper_workload, random_allocation, random_instance
@@ -237,13 +240,59 @@ def test_permutation_equivariance_on_generic_instance():
             assert a[stat_id] == pytest.approx(b[stat_id], rel=1e-12, abs=1e-12)
 
 
+def closed_form(workload, budgets):
+    """(us_terms, ue_terms, equation rmse, metric), assembled with math.fsum
+    from gradient_at_reference, the sensitivities and the budgets only."""
+    normalize = workload.options.normalize_by_sensitivity
+    refs = workload.reference_values()
+    sens = workload.sensitivities()
+    us = {i: SQRT2 * (1.0 if normalize else sens[i]) / budgets[i] for i in workload.statistic_ids}
+    rmse = {}
+    for equation in workload.equations:
+        gradient = gradient_at_reference(equation.expression, refs)
+        rmse[equation.id] = math.sqrt(
+            math.fsum(2.0 * g * g * sens[i] * sens[i] / (budgets[i] * budgets[i]) for i, g in gradient.items())
+        )
+    ue = {eq.id: rmse[eq.id] / (eq.sensitivity if normalize else 1.0) for eq in workload.equations}
+    return us, ue, rmse, math.fsum(us.values()) + math.fsum(ue.values())
+
+
 def test_model_metric_agrees_with_canonical_scorer():
     rng = random.Random(909)
-    for _ in range(5):
-        workload = random_instance(rng, 3, neq=2)
+    workloads = []
+    for normalized in (True, False):
+        workloads += [random_instance(rng, 3, neq=2, normalized=normalized) for _ in range(3)]
+        workloads.append(
+            make_workload(
+                epsilon=1.0,
+                stats=(("s1", 1.5, 4.0), ("s2", 0.5, -3.0), ("s3", 2.0, 9.0)),
+                equations=(
+                    ("constant", "3.5", 1.0),
+                    ("zero", "s1 - s1", 2.0),
+                    ("square", "s1 * s1", 0.5),
+                    ("mixed", "s3 / s2 + s1", 1.5),
+                ),
+                normalize_by_sensitivity=normalized,
+            )
+        )
+        workloads.append(make_workload(epsilon=2.0, normalize_by_sensitivity=normalized))
+    for workload in workloads:
         alloc = random_allocation(rng, workload)
-        model = _AnalyticModel(workload, workload.options)
-        b = np.array([alloc.budgets[s] for s in workload.statistic_ids])
-        assert model.metric(b) == pytest.approx(score_allocation(workload, alloc).metric, rel=1e-12)
-        batch = model.metric_batch(np.vstack([b, b * 1.0]))
-        assert batch[0] == pytest.approx(model.metric(b), rel=1e-12)
+        us, ue, rmse, metric = closed_form(workload, alloc.budgets)
+        report = score_allocation(workload, alloc)
+        assert report.metric == pytest.approx(metric, rel=1e-12)
+        assert report.us_terms == pytest.approx(us, rel=1e-12)
+        assert report.ue_terms == pytest.approx(ue, rel=1e-12)
+        for equation in workload.equations:
+            result = propagate_variance_analytic(equation.expression, workload, alloc)
+            assert result.rmse == pytest.approx(rmse[equation.id], rel=1e-12)
+        simulated = simulate_pipeline(workload, alloc, trials=10, seed=5)
+        for eq_id, summary in simulated.per_equation.items():
+            assert summary.predicted_rmse == pytest.approx(rmse[eq_id], rel=1e-12)
+        # grid_search's batch metric, on the allocation and on its reversal.
+        b = budget_vector(workload, alloc)
+        reversed_budgets = dict(zip(workload.statistic_ids, b[::-1].tolist()))
+        model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
+        batch = model.metric_batch(np.vstack([b, b[::-1]]))
+        assert batch[0] == pytest.approx(metric, rel=1e-12)
+        assert batch[1] == pytest.approx(closed_form(workload, reversed_budgets)[3], rel=1e-12)

@@ -1,18 +1,37 @@
 import json
+import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dpbudget import load_allocation, load_workload, score_allocation, validate_allocation
+from dpbudget import (
+    allocation_to_dict,
+    free_statistics,
+    load_allocation,
+    load_workload,
+    score_allocation,
+    uniform_allocation,
+    validate_allocation,
+)
 from dpbudget.cli import run_cli
+
+from helpers import random_allocation, random_instance
 
 DATA = Path(__file__).parent / "data"
 PAPER = str(DATA / "paper4.json")
 UNIFORM = str(DATA / "uniform.json")
 TUNED = str(DATA / "tuned.json")
 BAD_SUM = str(DATA / "bad_sum.json")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def module_env(**overrides):
+    """Environment for a ``python -m dpbudget`` child that finds the package in src/."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def run(capsys, *argv):
@@ -217,11 +236,45 @@ def test_seeded_subcommands_are_byte_identical_across_runs(capsys):
         assert first[0] == 0
 
 
+def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
+    # Set iteration order over statistic ids changes with PYTHONHASHSEED, so
+    # only separate processes can show a report that depends on it.
+    rng = random.Random(4)
+    workload = random_instance(rng, 30, neq=60)
+    assert {len(free_statistics(eq.expression)) for eq in workload.equations} == {2, 3}
+    paths = {}
+    for name, document in (
+        ("workload", workload.to_dict()),
+        ("random", allocation_to_dict(random_allocation(rng, workload))),
+        ("uniform", allocation_to_dict(uniform_allocation(workload))),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(document), encoding="utf-8")
+    invocations = [
+        ("score", "--workload", paths["workload"], "--allocation", paths["random"]),
+        ("compare", "--workload", paths["workload"], paths["random"], paths["uniform"]),
+        ("simulate", "--workload", paths["workload"], "--allocation", paths["random"],
+         "--trials", "2000", "--seed", "17"),
+    ]
+    for argv in invocations:
+        outputs = []
+        for hash_seed in ("0", "1"):
+            completed = subprocess.run(
+                [sys.executable, "-m", "dpbudget", *map(str, argv)],
+                capture_output=True,
+                env=module_env(PYTHONHASHSEED=hash_seed),
+            )
+            assert completed.returncode == 0, completed.stderr.decode()
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1], argv[0]
+
+
 def test_module_entry_point_runs():
     completed = subprocess.run(
         [sys.executable, "-m", "dpbudget", "validate", "--workload", PAPER, "--format", "text"],
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert completed.returncode == 0
     assert completed.stdout.strip() == "OK"

@@ -4,12 +4,10 @@ import pytest
 
 from dpbudget import (
     MetricOptions,
-    StatTuple,
     compare_allocations,
     equation_score,
     grid_search,
     score_allocation,
-    statistic_score,
 )
 
 from helpers import allocation, make_workload, paper_workload
@@ -18,23 +16,6 @@ SQRT2 = math.sqrt(2.0)
 
 NORMALIZED = MetricOptions(normalize_by_sensitivity=True)
 RAW = MetricOptions(normalize_by_sensitivity=False)
-
-
-def test_statistic_score_normalized_ignores_sensitivity():
-    a = statistic_score(StatTuple(0.0, 1.0, 0.5), NORMALIZED)
-    b = statistic_score(StatTuple(0.0, 100.0, 0.5), NORMALIZED)
-    assert a == b == pytest.approx(2 * SQRT2, rel=1e-15)
-
-
-def test_statistic_score_unnormalized():
-    assert statistic_score(StatTuple(0.0, 3.0, 0.5), RAW) == pytest.approx(6 * SQRT2, rel=1e-15)
-
-
-def test_statistic_score_guards():
-    with pytest.raises(ValueError, match="NonPositiveBudget"):
-        statistic_score(StatTuple(0.0, 1.0, 0.0), NORMALIZED)
-    with pytest.raises(ValueError, match="NonPositiveSensitivity"):
-        statistic_score(StatTuple(0.0, -1.0, 0.5), NORMALIZED)
 
 
 def linear_workload():
@@ -53,17 +34,18 @@ def test_equation_score_normalized_and_raw():
     assert equation_score(eq, workload, alloc, RAW) == pytest.approx(8.0, rel=1e-12)
 
 
-def test_single_statistic_equation_score_equals_statistic_score():
-    for options in (NORMALIZED, RAW):
+def test_single_statistic_equation_score_equals_its_statistic_term():
+    for options, expected in ((NORMALIZED, SQRT2), (RAW, SQRT2 * 2.5)):
         workload = make_workload(
             epsilon=1.0,
             stats=(("s1", 2.5, 4.0),),
             equations=(("mirror", "s1", 2.5),),
         )
         alloc = allocation(workload, 1.0)
-        record = StatTuple(4.0, 2.5, 1.0)
+        report = score_allocation(workload, alloc, options)
+        assert report.us_terms["s1"] == pytest.approx(expected, rel=1e-15)
         assert equation_score(workload.equations[0], workload, alloc, options) == pytest.approx(
-            statistic_score(record, options), rel=1e-14
+            report.us_terms["s1"], rel=1e-14
         )
 
 

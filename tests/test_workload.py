@@ -7,15 +7,13 @@ from dpbudget import (
     MetricOptions,
     StatisticSpec,
     Workload,
-    consolidate,
     load_allocation,
     load_workload,
-    statistic_value,
     validate_allocation,
 )
-from dpbudget.errors import MissingValueError, ValidationError
+from dpbudget.errors import ValidationError
 
-from helpers import allocation, make_workload, paper_workload
+from helpers import allocation, make_workload
 
 PAPER_DOC = {
     "epsilon": 1.0,
@@ -189,54 +187,6 @@ def test_allocation_document_round_trip():
     with pytest.raises(ValidationError) as excinfo:
         load_allocation('{"budgets": {"s1": 0.5, "s2": 0.5}, "oops": 1}', workload)
     assert excinfo.value.codes() == {"MalformedDocument"}
-
-
-def test_consolidate_assembles_records_in_order():
-    workload = make_workload(stats=(("s1", 1.0, 10.0), ("s2", 2.0, 20.0)))
-    alloc = allocation(workload, 0.4, 0.6)
-    records = consolidate(workload, alloc)
-    assert [(r.value, r.sensitivity, r.budget) for r in records] == [(10.0, 1.0, 0.4), (20.0, 2.0, 0.6)]
-
-
-def test_consolidate_singleton():
-    workload = make_workload(stats=(("only", 3.0, -5.0),))
-    records = consolidate(workload, allocation(workload, 1.0))
-    assert len(records) == 1
-    assert statistic_value(records[0]) == -5.0
-
-
-def test_consolidate_accepts_released_values():
-    workload = make_workload()
-    alloc = allocation(workload, 0.4, 0.6)
-    noisy = {"s1": 11.5, "s2": 18.25}
-    records = consolidate(workload, alloc, noisy)
-    assert [statistic_value(r) for r in records] == [11.5, 18.25]
-
-
-def test_consolidate_carries_noisy_release_values():
-    from dpbudget import release_statistics
-
-    workload = make_workload()
-    alloc = allocation(workload, 0.4, 0.6)
-    released = release_statistics(workload, alloc, seed=606)
-    records = consolidate(workload, alloc, released)
-    assert [statistic_value(r) for r in records] == [released["s1"], released["s2"]]
-    assert released == release_statistics(workload, alloc, seed=606)
-
-
-def test_consolidate_missing_value():
-    workload = make_workload()
-    alloc = allocation(workload, 0.4, 0.6)
-    with pytest.raises(MissingValueError):
-        consolidate(workload, alloc, {"s1": 1.0})
-
-
-def test_statistic_value_round_trip():
-    workload = paper_workload()
-    alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
-    values = workload.reference_values()
-    for spec, record in zip(workload.statistics, consolidate(workload, alloc, values)):
-        assert statistic_value(record) == values[spec.id]
 
 
 def test_options_defaults():
