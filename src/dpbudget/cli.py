@@ -20,7 +20,7 @@ from pathlib import Path
 from .allocator import OptimizationResult, grid_search, optimize_descent, sqrt_rule_allocation
 from .errors import DPBudgetError, HeavyTailWarning, ValidationError
 from .scoring import RankedAllocation, UtilityReport, compare_allocations, score_allocation
-from .simulation import SimulationReport, simulate_with_series
+from .simulation import SimulationReport, simulate_pipeline, simulate_with_series
 from .workload import (
     BudgetAllocation,
     MetricOptions,
@@ -305,9 +305,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise _UsageError("simulate requires an explicit --seed")
     workload = _load_workload_file(args.workload)
     allocation = _load_allocation_file(args.allocation, workload)
-    report, series = simulate_with_series(workload, allocation, args.trials, args.seed)
-    _print_simulation(report, args.format)
+    series = None
     if args.dump_trials:
+        report, series = simulate_with_series(workload, allocation, args.trials, args.seed)
+    else:
+        report = simulate_pipeline(workload, allocation, args.trials, args.seed)
+    _print_simulation(report, args.format)
+    if series is not None:
         _write_trial_dump(args.dump_trials, workload, report.trials, series)
     return EXIT_OK
 

@@ -57,9 +57,18 @@ def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) ->
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    u = stream.random(count) - 0.5
-    magnitude = np.minimum(np.abs(u), _U_LIMIT)
-    return -scale * np.sign(u) * np.log1p(-2.0 * magnitude)
+    u = stream.random(count)
+    u -= 0.5
+    sign = np.sign(u)
+    np.abs(u, out=u)
+    np.minimum(u, _U_LIMIT, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    # Multiplying by a sign is exact, so this order gives the same bits as
+    # -scale * sign * log1p(-2|u|).
+    u *= sign
+    u *= -scale
+    return u
 
 
 def sample_noise(scale: float, stream: np.random.Generator) -> float:

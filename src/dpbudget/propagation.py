@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,11 @@ from .workload import BudgetAllocation, Workload, validate_allocation
 HEAVY_TAIL_FRACTION = 0.001
 # Fraction of samples dropped from each tail for the trimmed rmse.
 TRIM_PER_TAIL = 0.0005
+# Fewest samples a Monte Carlo estimate accepts.
+MIN_MC_SAMPLES = 1000
+# Samples per Monte Carlo chunk. Fixed, never derived from threads or
+# memory: the chunking fixes the summation order, and so the report bytes.
+CHUNK = 1 << 14
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -234,52 +239,154 @@ def propagate_variance_montecarlo(
         DivisionNearZeroError: the expression is degenerate at the
             reference point itself.
     """
-    return montecarlo_kernel(ast, workload, validate_allocation(workload, allocation), samples, seed)
+    allocation = validate_allocation(workload, allocation)
+    check_mc_samples(samples)
+    return replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed)[0]
 
 
-def montecarlo_kernel(
-    ast: Expr, workload: Workload, allocation: BudgetAllocation, samples: int, seed: int
-) -> PropagationResult:
-    """propagate_variance_montecarlo on an allocation the caller has validated."""
-    if samples < 1000:
-        raise ValueError(f"samples must be at least 1000, got {samples!r}")
+def check_mc_samples(samples: int) -> None:
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples!r}")
+
+
+def replay_montecarlo(
+    workload: Workload,
+    allocation: BudgetAllocation,
+    expressions: Sequence[tuple[str, Expr]],
+    count: int,
+    seed: int,
+    sink: Callable[[int, list[np.ndarray]], None] | None = None,
+) -> list[PropagationResult]:
+    """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
+
+    ``expressions`` holds (label, tree) pairs; the label names an
+    expression in the heavy-tail error. Each statistic any expression
+    reads gets its stream ``noise_stream(seed, index)`` drawn once, in
+    statistic order and in CHUNK-sample pieces; consecutive pieces of a
+    stream equal one big draw, so trial ``t`` sees the same noise as in a
+    single release. Every expression is evaluated on each chunk and its
+    errors (output minus reference output) are summarized on the fly, so
+    memory is O(CHUNK x statistics + expressions x tail size). The chunk
+    size is fixed, which fixes the summation order and keeps reports
+    byte-identical. ``sink``, if given, receives each chunk's start index
+    and per-expression errors, with NaN at excluded samples.
+
+    The allocation must already be validated and ``count`` be at least 1.
+
+    Raises:
+        DivisionNearZeroError: an expression is degenerate at the reference.
+        HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's
+            samples hit near-zero denominators.
+    """
     refs = workload.reference_values()
-    reference_output = evaluate(ast, refs)
-    used = free_statistics(ast)
-    noisy: dict[str, np.ndarray] = {}
-    for index, spec in enumerate(workload.statistics):
-        if spec.id not in used:
-            continue
-        scale = spec.sensitivity / allocation.budgets[spec.id]
-        noisy[spec.id] = spec.reference_value + sample_noise_batch(scale, noise_stream(seed, index), samples)
-    invalid = np.zeros(samples, dtype=bool)
-    outputs = evaluate_batch(ast, noisy, invalid)
-    errors = np.asarray(outputs, dtype=float) - reference_output
-    if errors.ndim == 0:
-        errors = np.full(samples, float(errors))
-    excluded = int(invalid.sum())
-    if excluded > HEAVY_TAIL_FRACTION * samples:
-        raise HeavyTailWarning(
-            f"{excluded} of {samples} samples hit near-zero denominators "
-            f"(limit {HEAVY_TAIL_FRACTION:.1%})"
+    reference_outputs = [evaluate(ast, refs) for _, ast in expressions]
+    used = set().union(*(free_statistics(ast) for _, ast in expressions))
+    streams = [
+        (spec.id, spec.reference_value, spec.sensitivity / allocation.budgets[spec.id], noise_stream(seed, index))
+        for index, spec in enumerate(workload.statistics)
+        if spec.id in used
+    ]
+    summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) for _ in expressions]
+    for start in range(0, count, CHUNK):
+        size = min(CHUNK, count - start)
+        released = {}
+        for stat_id, reference, scale, stream in streams:
+            values = sample_noise_batch(scale, stream, size)
+            values += reference
+            released[stat_id] = values
+        chunk_errors = []
+        for (_, ast), reference_output, summary in zip(expressions, reference_outputs, summaries):
+            invalid = np.zeros(size, dtype=bool)
+            errors = np.asarray(evaluate_batch(ast, released, invalid), dtype=float) - reference_output
+            if errors.ndim == 0:
+                errors = np.full(size, float(errors))
+            excluded = int(np.count_nonzero(invalid))
+            summary.add(errors[~invalid] if excluded else errors, excluded)
+            if sink is not None:
+                errors[invalid] = np.nan
+                chunk_errors.append(errors)
+        if sink is not None:
+            sink(start, chunk_errors)
+    for (label, _), summary in zip(expressions, summaries):
+        if summary.excluded > HEAVY_TAIL_FRACTION * count:
+            raise HeavyTailWarning(
+                f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
+                f"(limit {HEAVY_TAIL_FRACTION:.1%})"
+            )
+    return [summary.result() for summary in summaries]
+
+
+class _ErrorSummary:
+    """Running summary of one expression's kept errors, fed chunk by chunk.
+
+    Keeps the sum of squares, the mean and M2 (chunks merged by Chan's
+    pairwise formula), and for the trimmed rmse an exact running set of the
+    k smallest and k largest errors (``tails``, sorted, the k smallest
+    first) plus the sum of squares of every error in neither.
+    """
+
+    __slots__ = ("k", "kept", "excluded", "sum_sq", "mean", "m2", "tails", "core_sq")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.kept = 0
+        self.excluded = 0
+        self.sum_sq = 0.0
+        self.mean = 0.0
+        self.m2 = 0.0
+        self.tails = np.empty(0)
+        self.core_sq = 0.0
+
+    def add(self, kept: np.ndarray, excluded: int) -> None:
+        self.excluded += excluded
+        size = kept.size
+        if size == 0:
+            return
+        squares = kept * kept
+        self.sum_sq += float(squares.sum())
+        chunk_mean = float(kept.sum()) / size
+        centered = kept - chunk_mean
+        centered *= centered
+        chunk_m2 = float(centered.sum())
+        if self.kept == 0:
+            self.mean, self.m2 = chunk_mean, chunk_m2
+        else:
+            total = self.kept + size
+            delta = chunk_mean - self.mean
+            self.mean += delta * size / total
+            self.m2 += chunk_m2 + delta * delta * self.kept * size / total
+        self.kept += size
+        k = self.k
+        if k == 0:
+            return
+        if self.tails.size == 2 * k:
+            # Errors strictly inside the tails' bounds cannot enter them.
+            inner = (kept > self.tails[k - 1]) & (kept < self.tails[k])
+            self.core_sq += float(squares[inner].sum())
+            if inner.all():
+                return
+            kept = kept[~inner]
+        merged = np.concatenate((self.tails, kept))
+        merged.sort()
+        if merged.size <= 2 * k:
+            self.tails = merged
+        else:
+            self.tails = np.concatenate((merged[:k], merged[-k:]))
+            pushed = merged[k:-k]
+            self.core_sq += float((pushed * pushed).sum())
+
+    def result(self) -> PropagationResult:
+        rmse = math.sqrt(self.sum_sq / self.kept)
+        drop = int(self.kept * TRIM_PER_TAIL)
+        if drop == 0:
+            trimmed = rmse
+        else:
+            # The inner values of both tails join the core; drop <= k.
+            inner = self.tails[drop : self.tails.size - drop]
+            trimmed = math.sqrt((self.core_sq + float((inner * inner).sum())) / (self.kept - 2 * drop))
+        return PropagationResult(
+            variance=self.m2 / self.kept,
+            rmse=rmse,
+            method="montecarlo",
+            mc_detail=MonteCarloDetail(samples=self.kept, bias_estimate=self.mean, trimmed_rmse=trimmed),
         )
-    kept = errors[~invalid] if excluded else errors
-    return PropagationResult(
-        variance=float(np.var(kept)),
-        rmse=float(np.sqrt(np.mean(np.square(kept)))),
-        method="montecarlo",
-        mc_detail=MonteCarloDetail(
-            samples=int(kept.size),
-            bias_estimate=float(np.mean(kept)),
-            trimmed_rmse=trimmed_rmse(kept),
-        ),
-    )
-
-
-def trimmed_rmse(errors: np.ndarray) -> float:
-    """Rmse after dropping TRIM_PER_TAIL of the samples from each tail."""
-    drop = int(errors.size * TRIM_PER_TAIL)
-    if drop == 0:
-        return float(np.sqrt(np.mean(np.square(errors))))
-    core = np.sort(errors)[drop : errors.size - drop]
-    return float(np.sqrt(np.mean(np.square(core))))

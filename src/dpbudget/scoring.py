@@ -15,9 +15,10 @@ from typing import Any, Sequence
 from .propagation import (
     FirstOrderModel,
     budget_vector,
-    montecarlo_kernel,
+    check_mc_samples,
     propagate_variance_analytic,
     propagate_variance_montecarlo,
+    replay_montecarlo,
 )
 from .workload import BudgetAllocation, EquationSpec, MetricOptions, Workload, validate_allocation
 
@@ -114,10 +115,10 @@ def score_validated(
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")
-        equation_part = [
-            montecarlo_kernel(equation.expression, workload, allocation, options.mc_samples, seed).rmse / norm
-            for equation, norm in zip(workload.equations, model.norms.tolist())
-        ]
+        check_mc_samples(options.mc_samples)
+        expressions = [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
+        results = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed)
+        equation_part = [result.rmse / norm for result, norm in zip(results, model.norms.tolist())]
     us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
     ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
     metric = math.fsum(us_terms.values()) + math.fsum(ue_terms.values())

@@ -9,10 +9,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import HeavyTailWarning
-from .expressions import evaluate, evaluate_batch, free_statistics
-from .noise import noise_stream, sample_noise_batch
-from .propagation import HEAVY_TAIL_FRACTION, FirstOrderModel, budget_vector, trimmed_rmse
+from .expressions import StatRef
+from .propagation import FirstOrderModel, budget_vector, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
 
 _SQRT2 = math.sqrt(2.0)
@@ -71,10 +69,10 @@ def simulate_pipeline(workload: Workload, allocation: BudgetAllocation, trials: 
     equation is evaluated on the released values, and the error against the
     reference evaluation is accumulated. Deterministic per seed. Equation
     trials that divide by ~zero are excluded; if more than the heavy-tail
-    limit do, the run aborts with HeavyTailWarning.
+    limit do, the run aborts with HeavyTailWarning. No per-trial series is
+    kept, so memory does not grow with ``trials``.
     """
-    report, _ = simulate_with_series(workload, allocation, trials, seed)
-    return report
+    return _simulate(workload, allocation, trials, seed, None)
 
 
 def simulate_with_series(
@@ -83,63 +81,51 @@ def simulate_with_series(
     """Like simulate_pipeline, also returning per-trial error series.
 
     Series keys are "stat:<id>" and "eq:<id>"; excluded equation trials
-    hold NaN.
+    hold NaN. The report equals simulate_pipeline's.
     """
+    keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
+    keys += [f"eq:{equation.id}" for equation in workload.equations]
+    series = {key: np.empty(max(trials, 0)) for key in keys}
+
+    def collect(start: int, chunk_errors: list[np.ndarray]) -> None:
+        for key, errors in zip(keys, chunk_errors):
+            series[key][start : start + errors.size] = errors
+
+    return _simulate(workload, allocation, trials, seed, collect), series
+
+
+def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     allocation = validate_allocation(workload, allocation)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-
-    refs = workload.reference_values()
-    series: dict[str, np.ndarray] = {}
-    released: dict[str, np.ndarray] = {}
-    per_statistic: dict[str, StatisticErrorSummary] = {}
-    for index, spec in enumerate(workload.statistics):
-        scale = spec.sensitivity / allocation.budgets[spec.id]
-        noise = sample_noise_batch(scale, noise_stream(seed, index), trials)
-        released[spec.id] = spec.reference_value + noise
-        # Error is defined as released minus reference, matching what any
-        # equation over this statistic sees.
-        errors = released[spec.id] - spec.reference_value
-        series[f"stat:{spec.id}"] = errors
-        per_statistic[spec.id] = StatisticErrorSummary(
-            empirical_rmse=float(np.sqrt(np.mean(np.square(errors)))),
-            predicted_rmse=_SQRT2 * scale,
-        )
-
+    budgets = budget_vector(workload, allocation)
     model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
-    predicted = np.sqrt(model.variances(budget_vector(workload, allocation))).tolist()
-    per_equation: dict[str, EquationErrorSummary] = {}
-    for equation, predicted_rmse in zip(workload.equations, predicted):
-        reference_output = evaluate(equation.expression, refs)
-        invalid = np.zeros(trials, dtype=bool)
-        used = free_statistics(equation.expression)
-        outputs = evaluate_batch(
-            equation.expression, {k: v for k, v in released.items() if k in used}, invalid
+    predicted = np.sqrt(model.variances(budgets)).tolist()
+    # A statistic's error is released minus reference, which is what the
+    # bare-reference expression over it yields.
+    expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]
+    expressions += [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
+    results = replay_montecarlo(workload, allocation, expressions, trials, seed, sink)
+    n_stat = len(workload.statistics)
+    per_statistic = {
+        spec.id: StatisticErrorSummary(
+            empirical_rmse=result.rmse, predicted_rmse=_SQRT2 * (spec.sensitivity / budget)
         )
-        errors = np.asarray(outputs, dtype=float) - reference_output
-        if errors.ndim == 0:
-            errors = np.full(trials, float(errors))
-        excluded = int(invalid.sum())
-        if excluded > HEAVY_TAIL_FRACTION * trials:
-            raise HeavyTailWarning(
-                f"equation {equation.id!r}: {excluded} of {trials} trials hit near-zero denominators"
-            )
-        kept = errors[~invalid] if excluded else errors
-        per_equation[equation.id] = EquationErrorSummary(
-            empirical_rmse=float(np.sqrt(np.mean(np.square(kept)))),
-            trimmed_rmse=trimmed_rmse(kept),
-            bias=float(np.mean(kept)),
+        for spec, result, budget in zip(workload.statistics, results, budgets.tolist())
+    }
+    per_equation = {
+        equation.id: EquationErrorSummary(
+            empirical_rmse=result.rmse,
+            trimmed_rmse=result.mc_detail.trimmed_rmse,
+            bias=result.mc_detail.bias_estimate,
             predicted_rmse=predicted_rmse,
         )
-        errors = errors.copy()
-        errors[invalid] = np.nan
-        series[f"eq:{equation.id}"] = errors
-
-    report = SimulationReport(
+        for equation, result, predicted_rmse in zip(workload.equations, results[n_stat:], predicted)
+    }
+    return SimulationReport(
         trials=trials,
         seed=seed,
         rmse_reliable=trials >= RELIABLE_TRIALS,
         per_statistic=per_statistic,
         per_equation=per_equation,
     )
-    return report, series

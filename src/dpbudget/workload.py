@@ -478,13 +478,14 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
     """
     raw = budgets.budgets if isinstance(budgets, BudgetAllocation) else dict(budgets)
     issues: list[ValidationIssue] = []
-    ids = set(workload.statistic_ids)
+    statistic_ids = workload.statistic_ids
+    ids = set(statistic_ids)
 
     for key in sorted(raw.keys() - ids):
         issues.append(ValidationIssue("UnknownBudgetId", f"budget for unknown statistic {key!r}", key))
 
     complete = True
-    for stat_id in workload.statistic_ids:
+    for stat_id in statistic_ids:
         if stat_id not in raw:
             issues.append(ValidationIssue("MissingBudget", f"no budget for statistic {stat_id!r}", stat_id))
             complete = False
@@ -503,7 +504,7 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
             )
 
     if complete and not (raw.keys() - ids):
-        total = math.fsum(float(raw[stat_id]) for stat_id in workload.statistic_ids)
+        total = math.fsum(float(raw[stat_id]) for stat_id in statistic_ids)
         if abs(total - workload.epsilon) > BUDGET_SUM_RTOL * workload.epsilon:
             issues.append(
                 ValidationIssue(
@@ -514,7 +515,7 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
 
     if issues:
         raise ValidationError(issues)
-    return BudgetAllocation(budgets={stat_id: float(raw[stat_id]) for stat_id in workload.statistic_ids})
+    return BudgetAllocation(budgets={stat_id: float(raw[stat_id]) for stat_id in statistic_ids})
 
 
 def load_allocation(document: str | Mapping[str, Any], workload: Workload) -> BudgetAllocation:

@@ -180,6 +180,40 @@ def test_simulate_dump_trials(tmp_path, capsys):
     assert len(lines) == 51
 
 
+def test_simulate_report_is_unchanged_by_trial_dump(tmp_path, capsys):
+    argv = ("simulate", "--workload", PAPER, "--allocation", UNIFORM, "--trials", "40000", "--seed", "5")
+    plain = run(capsys, *argv)
+    dumped = run(capsys, *argv, "--dump-trials", str(tmp_path / "trials.csv"))
+    assert plain[0] == 0
+    assert plain == dumped
+
+
+def test_heavy_tail_abort_names_the_equation(tmp_path, capsys):
+    workload = tmp_path / "heavy.json"
+    workload.write_text(json.dumps({
+        "epsilon": 2.0,
+        "statistics": [
+            {"id": "s1", "sensitivity": 1.0, "reference_value": 10.0},
+            {"id": "s4", "sensitivity": 1e-10, "reference_value": 1e-11},
+        ],
+        "equations": [
+            {"id": "fine", "expression": "s1 + s4", "sensitivity": 1.0},
+            {"id": "ratio", "expression": "s1 / s4", "sensitivity": 1.0},
+        ],
+    }))
+    budgets = tmp_path / "budgets.json"
+    budgets.write_text(json.dumps({"budgets": {"s1": 1.0, "s4": 1.0}}))
+    for argv in (
+        ("score", "--estimator", "montecarlo", "--mc-samples", "10000", "--seed", "3"),
+        ("simulate", "--trials", "10000", "--seed", "3"),
+    ):
+        code, out, err = run(capsys, argv[0], "--workload", str(workload), "--allocation", str(budgets), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "'ratio'" in err
+        assert "'fine'" not in err
+
+
 def test_montecarlo_score_requires_seed(capsys):
     code, _, err = run(
         capsys, "score", "--workload", PAPER, "--allocation", UNIFORM, "--estimator", "montecarlo"

@@ -121,3 +121,17 @@ def test_batch_draws_extend_scalar_draws():
     stream_b = noise_stream(5, 2)
     replay = np.array([sample_noise(2.5, stream_b) for _ in range(10)])
     assert np.array_equal(prefix, replay)
+
+
+def test_in_place_inverse_cdf_matches_reference_formula_bit_for_bit():
+    for seed, index, scale, count in ((1, 0, 1.0, 5000), (77, 3, 0.37, 4097), (2**63 + 5, 12, 250.0, 1)):
+        u = noise_stream(seed, index).random(count) - 0.5
+        expected = -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), 0.5 - 2.0**-54))
+        assert np.array_equal(sample_noise_batch(scale, noise_stream(seed, index), count), expected)
+
+
+def test_consecutive_chunks_of_a_stream_equal_one_draw():
+    stream = noise_stream(9, 3)
+    chunks = [sample_noise_batch(1.5, stream, size) for size in (2**14, 2**14, 123)]
+    whole = sample_noise_batch(1.5, noise_stream(9, 3), 2 * 2**14 + 123)
+    assert np.array_equal(np.concatenate(chunks), whole)

@@ -1,15 +1,20 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dpbudget import (
     gradient_at_reference,
+    noise_stream,
     parse_expression,
     propagate_variance_analytic,
     propagate_variance_montecarlo,
+    sample_noise_batch,
 )
 from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning
+from dpbudget.expressions import DIVISION_GUARD
+from dpbudget.propagation import CHUNK, TRIM_PER_TAIL
 
 from helpers import allocation, fd_gradient, make_workload, safe_random_tree
 
@@ -191,3 +196,93 @@ def test_mul_div_linear_combination_is_not_required_for_mc_validity():
     mc = propagate_variance_montecarlo(ast, workload, alloc, 10**5, seed=5)
     assert mc.mc_detail.trimmed_rmse > 0
     assert mc.rmse >= mc.mc_detail.trimmed_rmse
+
+
+def sampled_reference(workload, alloc, samples, seed, numerator, denominator=None):
+    """Independent Monte Carlo summary: one draw per stream, numpy arithmetic,
+    exclusion by the division guard, and a full sort for the trimmed rmse."""
+    noisy = {}
+    for index, spec in enumerate(workload.statistics):
+        scale = spec.sensitivity / alloc.budgets[spec.id]
+        noisy[spec.id] = spec.reference_value + sample_noise_batch(scale, noise_stream(seed, index), samples)
+    refs = {spec.id: np.float64(spec.reference_value) for spec in workload.statistics}
+    if denominator is None:
+        errors, excluded = numerator(noisy) - numerator(refs), np.zeros(samples, dtype=bool)
+    else:
+        den = denominator(noisy)
+        excluded = np.abs(den) < DIVISION_GUARD
+        errors = numerator(noisy) / np.where(excluded, 1.0, den) - numerator(refs) / denominator(refs)
+    kept = errors[~excluded]
+    drop = int(kept.size * TRIM_PER_TAIL)
+    core = np.sort(kept)[drop : kept.size - drop]
+    return {
+        "excluded": int(excluded.sum()),
+        "rmse": math.sqrt(np.mean(kept * kept)),
+        "trimmed": math.sqrt(np.mean(core * core)),
+        "bias": float(np.mean(kept)),
+        "variance": float(np.var(kept)),
+    }
+
+
+def assert_matches_reference(result, expected, samples):
+    assert result.mc_detail.samples == samples - expected["excluded"]
+    assert result.rmse == pytest.approx(expected["rmse"], rel=1e-12)
+    assert result.mc_detail.trimmed_rmse == pytest.approx(expected["trimmed"], rel=1e-12)
+    assert abs(result.mc_detail.bias_estimate - expected["bias"]) <= 1e-12 * expected["rmse"]
+    assert result.variance == pytest.approx(expected["variance"], rel=1e-10)
+
+
+@pytest.mark.parametrize("samples", [1000, 3 * CHUNK + 123])
+def test_chunked_kernel_matches_one_draw_reference_on_linear_expression(samples):
+    workload = make_workload(
+        epsilon=1.0,
+        stats=(("a", 2.0, 4.0), ("b", 0.5, -3.0), ("c", 1.5, 9.0)),
+    )
+    alloc = allocation(workload, 0.2, 0.5, 0.3)
+    result = propagate_variance_montecarlo(parse_expression("a - 2 * b + c / 4"), workload, alloc, samples, seed=23)
+    expected = sampled_reference(workload, alloc, samples, 23, lambda v: v["a"] - 2 * v["b"] + v["c"] / 4)
+    assert_matches_reference(result, expected, samples)
+
+
+def test_chunked_kernel_trims_heavy_tailed_quotient_exactly():
+    workload, alloc = quotient_instance()
+    samples = 3 * CHUNK + 123
+    result = propagate_variance_montecarlo(parse_expression("(s1 + s2) / s4"), workload, alloc, samples, seed=8)
+    expected = sampled_reference(
+        workload, alloc, samples, 8, lambda v: v["s1"] + v["s2"], lambda v: v["s4"]
+    )
+    assert int(samples * TRIM_PER_TAIL) > 0
+    assert_matches_reference(result, expected, samples)
+
+
+def test_chunked_kernel_drop_follows_kept_count_when_samples_are_excluded():
+    # d's reference 1e-9 with noise scale 2e-9: |d| < 1e-12 has probability
+    # about 2e-12 * exp(-0.5) / (2 * 2e-9) ≈ 3e-4, under the 1e-3 abort limit.
+    workload = make_workload(
+        epsilon=2.0,
+        stats=(("s1", 1.0, 10.0), ("d", 2e-9, 1e-9)),
+    )
+    alloc = allocation(workload, 1.0, 1.0)
+    samples = 50_010
+    result = propagate_variance_montecarlo(parse_expression("s1 / d"), workload, alloc, samples, seed=6)
+    expected = sampled_reference(workload, alloc, samples, 6, lambda v: v["s1"], lambda v: v["d"])
+    assert 5 <= expected["excluded"] <= 30
+    kept = samples - expected["excluded"]
+    assert int(kept * TRIM_PER_TAIL) < int(samples * TRIM_PER_TAIL)
+    assert_matches_reference(result, expected, samples)
+
+
+def test_chunked_kernel_core_sum_survives_extreme_tails():
+    # 1/d² has a tail like x^(-1/2): typical errors are ~10 but the largest
+    # pass 1e8, so a core sum taken as a chunk's total minus its tails
+    # would miss the sorted reference by more than rel 1e-12 (cancellation).
+    workload = make_workload(
+        epsilon=2.0,
+        stats=(("s1", 1.0, 10.0), ("d", 0.25, 1.0)),
+    )
+    alloc = allocation(workload, 1.0, 1.0)
+    samples = 3 * CHUNK + 123
+    result = propagate_variance_montecarlo(parse_expression("s1 / (d * d)"), workload, alloc, samples, seed=4)
+    expected = sampled_reference(workload, alloc, samples, 4, lambda v: v["s1"], lambda v: v["d"] * v["d"])
+    assert expected["rmse"] > 100 * expected["trimmed"]
+    assert_matches_reference(result, expected, samples)

@@ -1,10 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpbudget import propagate_variance_analytic, simulate_pipeline, simulate_with_series
+from dpbudget import (
+    noise_stream,
+    propagate_variance_analytic,
+    propagate_variance_montecarlo,
+    sample_noise_batch,
+    simulate_pipeline,
+    simulate_with_series,
+)
 from dpbudget.errors import HeavyTailWarning
+from dpbudget.propagation import CHUNK
 
 from helpers import allocation, make_workload, paper_workload
 
@@ -101,3 +110,53 @@ def test_release_matches_first_simulation_trial():
     refs = workload.reference_values()
     for stat_id in workload.statistic_ids:
         assert released[stat_id] == refs[stat_id] + series[f"stat:{stat_id}"][0]
+
+
+def test_series_over_chunks_match_one_draw_per_stream():
+    workload = paper_workload()
+    alloc = allocation(workload, 0.1, 0.2, 0.3, 0.4)
+    trials = 3 * CHUNK + 123
+    report, series = simulate_with_series(workload, alloc, trials, seed=12)
+    released = {}
+    for index, spec in enumerate(workload.statistics):
+        scale = spec.sensitivity / alloc.budgets[spec.id]
+        released[spec.id] = spec.reference_value + sample_noise_batch(scale, noise_stream(12, index), trials)
+        errors = released[spec.id] - spec.reference_value
+        assert np.array_equal(series[f"stat:{spec.id}"], errors)
+        rmse = math.sqrt(np.mean(errors * errors))
+        assert report.per_statistic[spec.id].empirical_rmse == pytest.approx(rmse, rel=1e-12)
+    eq1 = released["s2"] + released["s3"] - 27.0
+    assert np.array_equal(series["eq:eq1"], eq1)
+    assert report.per_equation["eq1"].empirical_rmse == pytest.approx(math.sqrt(np.mean(eq1 * eq1)), rel=1e-12)
+
+
+def test_simulation_equals_montecarlo_propagation_with_same_seed_and_count():
+    workload = paper_workload()
+    alloc = allocation(workload, 0.1, 0.2, 0.3, 0.4)
+    trials = 2 * CHUNK + 5000
+    report = simulate_pipeline(workload, alloc, trials, seed=2024)
+    for equation in workload.equations:
+        sampled = propagate_variance_montecarlo(equation.expression, workload, alloc, trials, seed=2024)
+        summary = report.per_equation[equation.id]
+        assert summary.empirical_rmse == sampled.rmse
+        assert summary.trimmed_rmse == sampled.mc_detail.trimmed_rmse
+        assert summary.bias == sampled.mc_detail.bias_estimate
+
+
+def test_simulation_and_montecarlo_memory_do_not_grow_with_samples():
+    # One full array of 10**6 float64 samples is 8 MB; the chunked kernel
+    # must stay below that however many samples it replays.
+    workload = paper_workload()
+    alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    quotient = workload.equations[1].expression
+    for run in (
+        lambda: propagate_variance_montecarlo(quotient, workload, alloc, 10**6, seed=1),
+        lambda: simulate_pipeline(workload, alloc, 10**6, seed=1),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
