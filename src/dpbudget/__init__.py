@@ -61,7 +61,6 @@ from .scoring import (
     RankedAllocation,
     UtilityReport,
     compare_allocations,
-    equation_score,
     score_allocation,
 )
 from .simulation import (
@@ -117,7 +116,6 @@ __all__ = [
     "allocation_to_dict",
     "compare_allocations",
     "consumed_budget",
-    "equation_score",
     "evaluate",
     "format_expression",
     "free_statistics",

@@ -12,15 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .propagation import (
-    FirstOrderModel,
-    budget_vector,
-    check_mc_samples,
-    propagate_variance_analytic,
-    propagate_variance_montecarlo,
-    replay_montecarlo,
-)
-from .workload import BudgetAllocation, EquationSpec, MetricOptions, Workload, validate_allocation
+from .propagation import FirstOrderModel, budget_vector, check_mc_samples, replay_montecarlo
+from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 
 @dataclass(frozen=True)
@@ -57,32 +50,6 @@ class RankedAllocation:
         entry["name"] = self.name
         entry["rank"] = self.rank
         return entry
-
-
-def equation_score(
-    equation: EquationSpec,
-    workload: Workload,
-    allocation: BudgetAllocation,
-    options: MetricOptions | None = None,
-    seed: int | None = None,
-) -> float:
-    """Propagated noise rmse of one equation, per the configured estimator.
-
-    With normalization on, the rmse is divided by the equation's
-    direct-query sensitivity.
-    """
-    options = options if options is not None else workload.options
-    if options.estimator == "montecarlo":
-        if seed is None:
-            raise ValueError("the montecarlo estimator requires an explicit seed")
-        result = propagate_variance_montecarlo(
-            equation.expression, workload, allocation, options.mc_samples, seed
-        )
-    else:
-        result = propagate_variance_analytic(equation.expression, workload, allocation)
-    if options.normalize_by_sensitivity:
-        return result.rmse / equation.sensitivity
-    return result.rmse
 
 
 def score_allocation(

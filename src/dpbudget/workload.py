@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Collection, Mapping
 
 from .errors import ValidationError, ValidationIssue
 from .expressions import Expr, ExpressionParseError, free_statistics, format_expression, parse_expression
@@ -70,12 +70,10 @@ class MetricOptions:
     min_budget_fraction: float = 1e-6
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "normalize_by_sensitivity": self.normalize_by_sensitivity,
-            "estimator": self.estimator,
-            "mc_samples": self.mc_samples,
-            "min_budget_fraction": self.min_budget_fraction,
-        }
+        return asdict(self)
+
+
+_OPTION_KEYS = frozenset(option.name for option in fields(MetricOptions))
 
 
 @dataclass(frozen=True)
@@ -142,11 +140,52 @@ class BudgetAllocation:
 
 
 def _as_number(value: Any) -> float | None:
-    """Accepts real JSON numbers only; bools and non-finite values are rejected."""
+    """Accepts real numbers only; bools, non-finite values and ints beyond float range are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
-    result = float(value)
+    try:
+        result = float(value)
+    except OverflowError:
+        return None
     return result if math.isfinite(result) else None
+
+
+def _float_or_raw(value: Any) -> Any:
+    """A valid number as a float; anything else unchanged, for the value checks to report."""
+    number = _as_number(value)
+    return value if number is None else number
+
+
+def _check_number(
+    issues: list[ValidationIssue],
+    value: Any,
+    what: str,
+    subject: str | None = None,
+    nonpositive_code: str | None = None,
+) -> float | None:
+    """Reports ``value`` unless it is a finite number (and positive, if ``nonpositive_code`` is given).
+
+    A value of the wrong type, not finite or out of float range is
+    MalformedDocument; a number <= 0 gets ``nonpositive_code``. Returns the
+    number, or None when it is malformed.
+    """
+    number = _as_number(value)
+    if number is None:
+        issues.append(ValidationIssue("MalformedDocument", f"{what} must be a finite number, got {value!r}", subject))
+    elif nonpositive_code is not None and number <= 0:
+        issues.append(ValidationIssue(nonpositive_code, f"{what} must be positive, got {number!r}", subject))
+    return number
+
+
+def _check_id(issues: list[ValidationIssue], kind: str, value: Any, seen: set[str]) -> bool:
+    """Reports a malformed or repeated id; returns whether the entry's values can be checked."""
+    if not isinstance(value, str) or not _ID_RE.match(value):
+        issues.append(ValidationIssue("MalformedDocument", f"{kind} id {value!r} is not a valid identifier"))
+        return False
+    if value in seen:
+        issues.append(ValidationIssue("DuplicateId", f"{kind} id {value!r} appears more than once", value))
+    seen.add(value)
+    return True
 
 
 def _workload_issues(
@@ -155,77 +194,42 @@ def _workload_issues(
     equations: tuple[EquationSpec, ...],
     options: MetricOptions,
 ) -> list[ValidationIssue]:
+    """Every value constraint of a workload. Documents and direct construction both end here."""
     issues: list[ValidationIssue] = []
-
-    if _as_number(epsilon) is None or epsilon <= 0:
-        issues.append(
-            ValidationIssue("NonPositiveEpsilon", f"epsilon must be a positive number, got {epsilon!r}")
-        )
-
-    if len(statistics) < 1:
+    _check_number(issues, epsilon, "epsilon", nonpositive_code="NonPositiveEpsilon")
+    if not statistics:
         issues.append(ValidationIssue("MalformedDocument", "at least one statistic is required"))
 
-    seen: set[str] = set()
+    statistic_ids: set[str] = set()
     for spec in statistics:
-        if not isinstance(spec.id, str) or not _ID_RE.match(spec.id):
-            issues.append(
-                ValidationIssue("MalformedDocument", f"statistic id {spec.id!r} is not a valid identifier")
-            )
-            continue
-        if spec.id in seen:
-            issues.append(
-                ValidationIssue("DuplicateId", f"statistic id {spec.id!r} appears more than once", spec.id)
-            )
-        seen.add(spec.id)
-        sensitivity = _as_number(spec.sensitivity)
-        if sensitivity is None or sensitivity <= 0:
-            issues.append(
-                ValidationIssue(
-                    "NonPositiveSensitivity",
-                    f"statistic {spec.id!r} needs a positive sensitivity, got {spec.sensitivity!r}",
-                    spec.id,
-                )
-            )
-        if _as_number(spec.reference_value) is None:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument",
-                    f"statistic {spec.id!r} needs a finite reference_value, got {spec.reference_value!r}",
-                    spec.id,
-                )
-            )
+        if _check_id(issues, "statistic", spec.id, statistic_ids):
+            what = f"statistic {spec.id!r}"
+            _check_number(issues, spec.sensitivity, f"{what} sensitivity", spec.id, "NonPositiveSensitivity")
+            _check_number(issues, spec.reference_value, f"{what} reference_value", spec.id)
 
-    eq_seen: set[str] = set()
+    equation_ids: set[str] = set()
     for spec in equations:
-        if not isinstance(spec.id, str) or not _ID_RE.match(spec.id):
-            issues.append(
-                ValidationIssue("MalformedDocument", f"equation id {spec.id!r} is not a valid identifier")
+        if _check_id(issues, "equation", spec.id, equation_ids):
+            _check_number(
+                issues, spec.sensitivity, f"equation {spec.id!r} sensitivity", spec.id, "NonPositiveSensitivity"
             )
-            continue
-        if spec.id in eq_seen:
-            issues.append(
-                ValidationIssue("DuplicateId", f"equation id {spec.id!r} appears more than once", spec.id)
-            )
-        eq_seen.add(spec.id)
-        sensitivity = _as_number(spec.sensitivity)
-        if sensitivity is None or sensitivity <= 0:
-            issues.append(
-                ValidationIssue(
-                    "NonPositiveSensitivity",
-                    f"equation {spec.id!r} needs a positive sensitivity, got {spec.sensitivity!r}",
-                    spec.id,
-                )
-            )
-        for ref in sorted(free_statistics(spec.expression)):
-            if ref not in seen:
-                issues.append(
-                    ValidationIssue(
-                        "UnknownStatisticRef",
-                        f"equation {spec.id!r} references unknown statistic {ref!r}",
-                        ref,
+            for ref in sorted(free_statistics(spec.expression)):
+                if ref not in statistic_ids:
+                    issues.append(
+                        ValidationIssue(
+                            "UnknownStatisticRef",
+                            f"equation {spec.id!r} references unknown statistic {ref!r}",
+                            ref,
+                        )
                     )
-                )
 
+    if not isinstance(options.normalize_by_sensitivity, bool):
+        issues.append(
+            ValidationIssue(
+                "MalformedDocument",
+                f"options.normalize_by_sensitivity must be a boolean, got {options.normalize_by_sensitivity!r}",
+            )
+        )
     if options.estimator not in ESTIMATORS:
         issues.append(
             ValidationIssue(
@@ -240,7 +244,7 @@ def _workload_issues(
             )
         )
     fraction = _as_number(options.min_budget_fraction)
-    if fraction is None or fraction <= 0 or (len(statistics) >= 1 and fraction >= 1.0 / len(statistics)):
+    if fraction is None or fraction <= 0 or (statistics and fraction >= 1.0 / len(statistics)):
         issues.append(
             ValidationIssue(
                 "MalformedDocument",
@@ -254,9 +258,11 @@ def _workload_issues(
 
 def _parse_document(document: str | Mapping[str, Any]) -> Mapping[str, Any]:
     if isinstance(document, str):
+        # ValueError is also raised for an integer literal past the interpreter's digit
+        # limit, and RecursionError for arrays or objects nested past the recursion limit.
         try:
             parsed = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError([ValidationIssue("MalformedDocument", f"invalid JSON: {exc}")]) from None
     else:
         parsed = document
@@ -265,245 +271,126 @@ def _parse_document(document: str | Mapping[str, Any]) -> Mapping[str, Any]:
     return parsed
 
 
-def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ValidationIssue]):
+def _check_keys(entry: Mapping[str, Any], allowed: Collection[str], where: str, issues: list[ValidationIssue]):
     for key in entry:
         if key not in allowed:
             issues.append(ValidationIssue("MalformedDocument", f"{where}: unknown key {key!r}"))
 
 
+def _entries(raw: Mapping[str, Any], key: str, issues: list[ValidationIssue]) -> list[tuple[str, Mapping[str, Any]]]:
+    """The objects of the array ``raw[key]`` (absent means empty), each with its location."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        issues.append(ValidationIssue("MalformedDocument", f"{key!r} must be an array"))
+        return []
+    entries = []
+    for index, entry in enumerate(value):
+        if isinstance(entry, Mapping):
+            entries.append((f"{key}[{index}]", entry))
+        else:
+            issues.append(ValidationIssue("MalformedDocument", f"{key}[{index}] must be an object"))
+    return entries
+
+
+def _subject(entry_id: Any) -> str | None:
+    """An entry's id as an issue subject; an id that is not a string is reported by Workload."""
+    return entry_id if isinstance(entry_id, str) else None
+
+
 def _parse_options(raw: Any, issues: list[ValidationIssue]) -> MetricOptions:
-    defaults = MetricOptions()
+    """Shape only: an object whose keys are MetricOptions fields. Workload checks the values."""
     if raw is None:
-        return defaults
+        return MetricOptions()
     if not isinstance(raw, Mapping):
         issues.append(ValidationIssue("MalformedDocument", "options must be an object"))
-        return defaults
-    _check_keys(
-        raw,
-        {"normalize_by_sensitivity", "estimator", "mc_samples", "min_budget_fraction"},
-        "options",
-        issues,
-    )
-    normalize = raw.get("normalize_by_sensitivity", defaults.normalize_by_sensitivity)
-    if not isinstance(normalize, bool):
-        issues.append(
-            ValidationIssue("MalformedDocument", f"options.normalize_by_sensitivity must be a boolean, got {normalize!r}")
-        )
-        normalize = defaults.normalize_by_sensitivity
-    estimator = raw.get("estimator", defaults.estimator)
-    if estimator not in ESTIMATORS:
-        issues.append(
-            ValidationIssue("MalformedDocument", f"options.estimator must be one of {ESTIMATORS}, got {estimator!r}")
-        )
-        estimator = defaults.estimator
-    mc_samples = raw.get("mc_samples", defaults.mc_samples)
-    if isinstance(mc_samples, bool) or not isinstance(mc_samples, int) or mc_samples < 1:
-        issues.append(
-            ValidationIssue("MalformedDocument", f"options.mc_samples must be a positive integer, got {mc_samples!r}")
-        )
-        mc_samples = defaults.mc_samples
-    fraction = _as_number(raw.get("min_budget_fraction", defaults.min_budget_fraction))
-    if fraction is None or fraction <= 0:
-        issues.append(
-            ValidationIssue(
-                "MalformedDocument",
-                f"options.min_budget_fraction must be a positive number, got {raw.get('min_budget_fraction')!r}",
-            )
-        )
-        fraction = defaults.min_budget_fraction
-    return MetricOptions(
-        normalize_by_sensitivity=normalize,
-        estimator=estimator,
-        mc_samples=mc_samples,
-        min_budget_fraction=fraction,
-    )
+        return MetricOptions()
+    _check_keys(raw, _OPTION_KEYS, "options", issues)
+    return MetricOptions(**{key: value for key, value in raw.items() if key in _OPTION_KEYS})
 
 
 def load_workload(document: str | Mapping[str, Any]) -> Workload:
     """Builds a Workload from a JSON document (text or parsed object).
 
+    The document's shape is checked here and every value by Workload, so
+    a document and direct construction report the same value faults.
     Every violation found is reported in one ValidationError; unknown keys
     are rejected everywhere.
     """
     raw = _parse_document(document)
     issues: list[ValidationIssue] = []
     _check_keys(raw, {"epsilon", "options", "statistics", "equations"}, "document", issues)
-
-    epsilon = _as_number(raw.get("epsilon"))
-    if "epsilon" not in raw:
-        issues.append(ValidationIssue("MalformedDocument", "missing key 'epsilon'"))
-    elif epsilon is None:
-        issues.append(ValidationIssue("MalformedDocument", f"epsilon must be a number, got {raw['epsilon']!r}"))
-    elif epsilon <= 0:
-        issues.append(ValidationIssue("NonPositiveEpsilon", f"epsilon must be positive, got {epsilon!r}"))
-
     options = _parse_options(raw.get("options"), issues)
 
     statistics: list[StatisticSpec] = []
-    raw_stats = raw.get("statistics")
-    if not isinstance(raw_stats, list) or not raw_stats:
-        issues.append(ValidationIssue("MalformedDocument", "'statistics' must be a non-empty array"))
-        raw_stats = []
-    seen_ids: set[str] = set()
-    for index, entry in enumerate(raw_stats):
-        where = f"statistics[{index}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ValidationIssue("MalformedDocument", f"{where} must be an object"))
-            continue
+    for where, entry in _entries(raw, "statistics", issues):
         _check_keys(entry, {"id", "label", "sensitivity", "reference_value"}, where, issues)
         stat_id = entry.get("id")
-        if not isinstance(stat_id, str) or not _ID_RE.match(stat_id):
-            issues.append(ValidationIssue("MalformedDocument", f"{where}: id must be an identifier, got {stat_id!r}"))
-            continue
-        if stat_id in seen_ids:
-            issues.append(ValidationIssue("DuplicateId", f"statistic id {stat_id!r} appears more than once", stat_id))
-            continue
-        seen_ids.add(stat_id)
         label = entry.get("label", "")
         if not isinstance(label, str):
-            issues.append(ValidationIssue("MalformedDocument", f"{where}: label must be a string", stat_id))
+            issues.append(ValidationIssue("MalformedDocument", f"{where}: label must be a string", _subject(stat_id)))
             label = ""
-        sensitivity = _as_number(entry.get("sensitivity"))
-        if sensitivity is None:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument",
-                    f"{where}: sensitivity must be a finite number, got {entry.get('sensitivity')!r}",
-                    stat_id,
-                )
+        statistics.append(
+            StatisticSpec(
+                id=stat_id,
+                sensitivity=_float_or_raw(entry.get("sensitivity")),
+                reference_value=_float_or_raw(entry.get("reference_value")),
+                label=label,
             )
-            continue
-        if sensitivity <= 0:
-            issues.append(
-                ValidationIssue(
-                    "NonPositiveSensitivity",
-                    f"statistic {stat_id!r} needs a positive sensitivity, got {sensitivity!r}",
-                    stat_id,
-                )
-            )
-            continue
-        reference = _as_number(entry.get("reference_value"))
-        if reference is None:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument",
-                    f"{where}: reference_value must be a finite number, got {entry.get('reference_value')!r}",
-                    stat_id,
-                )
-            )
-            continue
-        statistics.append(StatisticSpec(id=stat_id, sensitivity=sensitivity, reference_value=reference, label=label))
+        )
 
     equations: list[EquationSpec] = []
-    raw_equations = raw.get("equations", [])
-    if not isinstance(raw_equations, list):
-        issues.append(ValidationIssue("MalformedDocument", "'equations' must be an array"))
-        raw_equations = []
-    eq_ids: set[str] = set()
-    for index, entry in enumerate(raw_equations):
-        where = f"equations[{index}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ValidationIssue("MalformedDocument", f"{where} must be an object"))
-            continue
+    for where, entry in _entries(raw, "equations", issues):
         _check_keys(entry, {"id", "expression", "sensitivity"}, where, issues)
         eq_id = entry.get("id")
-        if not isinstance(eq_id, str) or not _ID_RE.match(eq_id):
-            issues.append(ValidationIssue("MalformedDocument", f"{where}: id must be an identifier, got {eq_id!r}"))
-            continue
-        if eq_id in eq_ids:
-            issues.append(ValidationIssue("DuplicateId", f"equation id {eq_id!r} appears more than once", eq_id))
-            continue
-        eq_ids.add(eq_id)
         text = entry.get("expression")
         if not isinstance(text, str):
-            issues.append(ValidationIssue("MalformedDocument", f"{where}: expression must be a string", eq_id))
+            issues.append(
+                ValidationIssue("MalformedDocument", f"{where}: expression must be a string", _subject(eq_id))
+            )
             continue
         try:
             expression = parse_expression(text)
         except ExpressionParseError as exc:
-            issues.append(ValidationIssue("MalformedDocument", f"{where}: {exc}", eq_id))
+            issues.append(ValidationIssue("MalformedDocument", f"{where}: {exc}", _subject(eq_id)))
             continue
-        sensitivity = _as_number(entry.get("sensitivity"))
-        if sensitivity is None:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument",
-                    f"{where}: sensitivity must be a finite number, got {entry.get('sensitivity')!r}",
-                    eq_id,
-                )
-            )
-            continue
-        if sensitivity <= 0:
-            issues.append(
-                ValidationIssue(
-                    "NonPositiveSensitivity",
-                    f"equation {eq_id!r} needs a positive sensitivity, got {sensitivity!r}",
-                    eq_id,
-                )
-            )
-            continue
-        for ref in sorted(free_statistics(expression)):
-            if ref not in seen_ids:
-                issues.append(
-                    ValidationIssue(
-                        "UnknownStatisticRef",
-                        f"equation {eq_id!r} references unknown statistic {ref!r}",
-                        ref,
-                    )
-                )
-        equations.append(EquationSpec(id=eq_id, expression=expression, sensitivity=sensitivity))
+        equations.append(
+            EquationSpec(id=eq_id, expression=expression, sensitivity=_float_or_raw(entry.get("sensitivity")))
+        )
 
-    if "epsilon" in raw and epsilon is not None and epsilon > 0 and raw_stats:
-        count = len(seen_ids) or 1
-        if options.min_budget_fraction >= 1.0 / count:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument",
-                    "options.min_budget_fraction must be below 1/(number of statistics), "
-                    f"got {options.min_budget_fraction!r} with {count} statistics",
-                )
-            )
-
+    try:
+        workload = Workload(_float_or_raw(raw.get("epsilon")), tuple(statistics), tuple(equations), options)
+    except ValidationError as exc:
+        raise ValidationError(issues + exc.issues) from None
     if issues:
         raise ValidationError(issues)
-    return Workload(epsilon=epsilon, statistics=tuple(statistics), equations=tuple(equations), options=options)
+    return workload
 
 
 def validate_allocation(workload: Workload, budgets: Mapping[str, float] | BudgetAllocation) -> BudgetAllocation:
     """Checks a raw budget map against the workload's constraints.
 
-    Every budget must be present, positive, and the total must equal the
-    workload's epsilon within BUDGET_SUM_RTOL relative tolerance.
+    Every key must name a statistic, every budget must be present, a
+    finite number and positive, and the total must equal the workload's
+    epsilon within BUDGET_SUM_RTOL relative tolerance.
     Validating an already-valid allocation returns an equal one.
     """
     raw = budgets.budgets if isinstance(budgets, BudgetAllocation) else dict(budgets)
     issues: list[ValidationIssue] = []
     statistic_ids = workload.statistic_ids
-    ids = set(statistic_ids)
 
-    for key in sorted(raw.keys() - ids):
+    unknown = raw.keys() - set(statistic_ids)
+    for key in sorted(unknown, key=lambda key: (str(key), repr(key))):
         issues.append(ValidationIssue("UnknownBudgetId", f"budget for unknown statistic {key!r}", key))
 
-    complete = True
+    complete = not unknown
     for stat_id in statistic_ids:
         if stat_id not in raw:
             issues.append(ValidationIssue("MissingBudget", f"no budget for statistic {stat_id!r}", stat_id))
             complete = False
-            continue
-        value = _as_number(raw[stat_id])
-        if value is None:
-            issues.append(
-                ValidationIssue(
-                    "MalformedDocument", f"budget for {stat_id!r} must be a finite number, got {raw[stat_id]!r}", stat_id
-                )
-            )
+        elif _check_number(issues, raw[stat_id], f"budget for {stat_id!r}", stat_id, "NonPositiveBudget") is None:
             complete = False
-        elif value <= 0:
-            issues.append(
-                ValidationIssue("NonPositiveBudget", f"budget for {stat_id!r} must be positive, got {value!r}", stat_id)
-            )
 
-    if complete and not (raw.keys() - ids):
+    if complete:
         total = math.fsum(float(raw[stat_id]) for stat_id in statistic_ids)
         if abs(total - workload.epsilon) > BUDGET_SUM_RTOL * workload.epsilon:
             issues.append(
@@ -519,24 +406,24 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
 
 
 def load_allocation(document: str | Mapping[str, Any], workload: Workload) -> BudgetAllocation:
-    """Parses an allocation document ({"budgets": {...}}) and validates it."""
+    """Parses an allocation document ({"budgets": {...}}) and validates it.
+
+    The document's shape is checked here and every budget by
+    validate_allocation; all violations are reported in one ValidationError.
+    """
     raw = _parse_document(document)
     issues: list[ValidationIssue] = []
     _check_keys(raw, {"budgets"}, "document", issues)
     budgets = raw.get("budgets")
     if not isinstance(budgets, Mapping):
-        issues.append(ValidationIssue("MalformedDocument", "'budgets' must be an object"))
-    else:
-        for key, value in budgets.items():
-            if not isinstance(key, str):
-                issues.append(ValidationIssue("MalformedDocument", f"budget key {key!r} must be a string"))
-            elif _as_number(value) is None:
-                issues.append(
-                    ValidationIssue("MalformedDocument", f"budget for {key!r} must be a finite number, got {value!r}", key)
-                )
+        raise ValidationError(issues + [ValidationIssue("MalformedDocument", "'budgets' must be an object")])
+    try:
+        allocation = validate_allocation(workload, budgets)
+    except ValidationError as exc:
+        raise ValidationError(issues + exc.issues) from None
     if issues:
         raise ValidationError(issues)
-    return validate_allocation(workload, dict(budgets))
+    return allocation
 
 
 def allocation_to_dict(allocation: BudgetAllocation) -> dict[str, Any]:

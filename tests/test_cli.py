@@ -325,3 +325,39 @@ def test_text_formats_smoke(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_integers_past_float_range_are_malformed_documents(tmp_path, capsys):
+    big = "9" * 401
+    paper = (DATA / "paper4.json").read_text()
+    big_epsilon = _write(tmp_path, "epsilon.json", paper.replace('"epsilon": 1.0', f'"epsilon": {big}'))
+    big_sensitivity = _write(tmp_path, "sensitivity.json", paper.replace('"sensitivity": 2.0', f'"sensitivity": {big}'))
+    big_budget = _write(tmp_path, "budget.json", '{"budgets": {"s1": %s, "s2": 0.25, "s3": 0.25, "s4": 0.25}}' % big)
+    for argv in (
+        ("validate", "--workload", big_epsilon),
+        ("validate", "--workload", big_sensitivity),
+        ("validate", "--workload", PAPER, "--allocation", big_budget),
+    ):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 1, argv
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert [issue["code"] for issue in payload["issues"]] == ["MalformedDocument"], argv
+    code, out, err = run(capsys, "score", "--workload", PAPER, "--allocation", big_budget)
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedDocument: budget for 's1' must be a finite number")
+
+
+def test_unparseable_json_is_malformed_document(tmp_path, capsys):
+    past_digit_limit = _write(tmp_path, "digits.json", '{"epsilon": %s, "statistics": []}' % ("9" * 5000))
+    past_recursion_limit = _write(tmp_path, "nested.json", '{"epsilon": %s%s}' % ("[" * 100000, "]" * 100000))
+    for path in (past_digit_limit, past_recursion_limit):
+        code, out, _ = run(capsys, "validate", "--workload", path, "--format", "json")
+        assert code == 1
+        assert [issue["code"] for issue in json.loads(out)["issues"]] == ["MalformedDocument"]

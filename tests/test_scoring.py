@@ -5,7 +5,6 @@ import pytest
 from dpbudget import (
     MetricOptions,
     compare_allocations,
-    equation_score,
     grid_search,
     score_allocation,
 )
@@ -29,9 +28,8 @@ def linear_workload():
 def test_equation_score_normalized_and_raw():
     workload = linear_workload()
     alloc = allocation(workload, 0.25, 0.25)
-    eq = workload.equations[0]
-    assert equation_score(eq, workload, alloc, NORMALIZED) == pytest.approx(4.0, rel=1e-12)
-    assert equation_score(eq, workload, alloc, RAW) == pytest.approx(8.0, rel=1e-12)
+    assert score_allocation(workload, alloc, NORMALIZED).ue_terms["e"] == pytest.approx(4.0, rel=1e-12)
+    assert score_allocation(workload, alloc, RAW).ue_terms["e"] == pytest.approx(8.0, rel=1e-12)
 
 
 def test_single_statistic_equation_score_equals_its_statistic_term():
@@ -44,9 +42,7 @@ def test_single_statistic_equation_score_equals_its_statistic_term():
         alloc = allocation(workload, 1.0)
         report = score_allocation(workload, alloc, options)
         assert report.us_terms["s1"] == pytest.approx(expected, rel=1e-15)
-        assert equation_score(workload.equations[0], workload, alloc, options) == pytest.approx(
-            report.us_terms["s1"], rel=1e-14
-        )
+        assert report.ue_terms["mirror"] == pytest.approx(report.us_terms["s1"], rel=1e-14)
 
 
 def test_metric_two_statistics_no_equations():

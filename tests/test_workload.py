@@ -4,13 +4,16 @@ import pytest
 
 from dpbudget import (
     BudgetAllocation,
+    EquationSpec,
     MetricOptions,
     StatisticSpec,
     Workload,
     load_allocation,
     load_workload,
+    parse_expression,
     validate_allocation,
 )
+import dpbudget.workload as workload_module
 from dpbudget.errors import ValidationError
 
 from helpers import allocation, make_workload
@@ -195,3 +198,117 @@ def test_options_defaults():
     assert options.estimator == "analytic"
     assert options.mc_samples == 100000
     assert options.min_budget_fraction == 1e-6
+
+
+def _with(**changes):
+    """PAPER_DOC with top-level values replaced; a dict for an array or object edits it in place."""
+    doc = json.loads(json.dumps(PAPER_DOC))
+    for key, value in changes.items():
+        if key in ("statistics", "equations") and isinstance(value, dict):
+            for index, fields in value.items():
+                doc[key][index].update(fields)
+        elif key == "options":
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    return doc
+
+
+def _construct(doc):
+    """Workload(...) built directly from a document's raw values, bypassing load_workload."""
+    return Workload(
+        epsilon=doc["epsilon"],
+        statistics=tuple(
+            StatisticSpec(s["id"], s["sensitivity"], s["reference_value"], s.get("label", ""))
+            for s in doc["statistics"]
+        ),
+        equations=tuple(
+            EquationSpec(e["id"], parse_expression(e["expression"]), e["sensitivity"]) for e in doc["equations"]
+        ),
+        options=MetricOptions(**doc["options"]),
+    )
+
+
+def _issues(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return [(issue.code, issue.subject, issue.message) for issue in exc.issues]
+    return []
+
+
+WELL_SHAPED_DOCUMENTS = [
+    ("valid", _with(), []),
+    ("string sensitivity", _with(statistics={0: {"sensitivity": "x"}}), ["MalformedDocument"]),
+    ("string epsilon", _with(epsilon="x"), ["MalformedDocument"]),
+    ("negative epsilon hides no bound", _with(epsilon=-1, options={"min_budget_fraction": 0.9}),
+     ["NonPositiveEpsilon", "MalformedDocument"]),
+    ("integer epsilon past float range", _with(epsilon=10**400), ["MalformedDocument"]),
+    ("integer sensitivity past float range", _with(equations={1: {"sensitivity": -(10**400)}}),
+     ["MalformedDocument"]),
+    ("boolean sensitivity", _with(statistics={2: {"sensitivity": True}}), ["MalformedDocument"]),
+    ("zero sensitivities", _with(statistics={1: {"sensitivity": 0}}, equations={0: {"sensitivity": -2.0}}),
+     ["NonPositiveSensitivity", "NonPositiveSensitivity"]),
+    ("non-finite reference", _with(statistics={3: {"reference_value": float("nan")}}), ["MalformedDocument"]),
+    ("invalid id", _with(statistics={0: {"id": "1x"}}), ["MalformedDocument", "UnknownStatisticRef"]),
+    ("duplicate ids", _with(statistics={1: {"id": "s1"}}, equations={1: {"id": "eq1"}}),
+     ["DuplicateId", "UnknownStatisticRef", "DuplicateId", "UnknownStatisticRef"]),
+    ("unknown reference", _with(equations={0: {"expression": "s2 + s9"}}), ["UnknownStatisticRef"]),
+    ("no statistics", _with(statistics=[], equations=[]), ["MalformedDocument"]),
+    ("bad options", _with(options={"normalize_by_sensitivity": 1, "estimator": "quantum", "mc_samples": 0,
+                                   "min_budget_fraction": 0}), ["MalformedDocument"] * 4),
+    ("fraction at 1/n", _with(options={"min_budget_fraction": 0.25}), ["MalformedDocument"]),
+]
+
+
+@pytest.mark.parametrize(("doc", "codes"), [case[1:] for case in WELL_SHAPED_DOCUMENTS],
+                         ids=[case[0] for case in WELL_SHAPED_DOCUMENTS])
+def test_loader_and_construction_report_the_same_issues(doc, codes):
+    loaded = _issues(lambda: load_workload(doc))
+    assert loaded == _issues(lambda: _construct(doc))
+    assert [code for code, _, _ in loaded] == codes
+    if not codes:
+        assert load_workload(doc) == _construct(doc)
+
+
+def test_value_checks_run_once_per_load(monkeypatch):
+    calls = []
+    collect = workload_module._workload_issues
+
+    def counting(*args):
+        calls.append(args)
+        return collect(*args)
+
+    monkeypatch.setattr(workload_module, "_workload_issues", counting)
+    for doc in (_with(), _with(epsilon=-1.0), _with(bogus=1, epsilon="x")):
+        calls.clear()
+        try:
+            load_workload(json.dumps(doc))
+        except ValidationError:
+            pass
+        assert len(calls) == 1
+
+
+def test_load_reports_shape_and_value_issues_together():
+    with pytest.raises(ValidationError) as excinfo:
+        load_workload(_with(bogus=1, epsilon=0, statistics={0: {"label": 7}}))
+    assert [issue.code for issue in excinfo.value.issues] == [
+        "MalformedDocument", "MalformedDocument", "NonPositiveEpsilon"
+    ]
+
+
+def test_validate_allocation_reports_keys_of_any_type():
+    workload = make_workload()
+    with pytest.raises(ValidationError) as excinfo:
+        validate_allocation(workload, {1: 0.5, "zz": 0.5, "s1": 0.5})
+    assert excinfo.value.codes() == {"UnknownBudgetId", "MissingBudget"}
+    assert [issue.subject for issue in excinfo.value.issues] == [1, "zz", "s2"]
+
+
+def test_load_allocation_reports_shape_and_budget_issues_together():
+    workload = make_workload()
+    with pytest.raises(ValidationError) as excinfo:
+        load_allocation('{"budgets": {"s1": 1.0, "s2": "x", "s9": 0.1}, "oops": 1}', workload)
+    assert [(issue.code, issue.subject) for issue in excinfo.value.issues] == [
+        ("MalformedDocument", None), ("UnknownBudgetId", "s9"), ("MalformedDocument", "s2")
+    ]
