@@ -34,6 +34,8 @@ from .workload import BudgetAllocation, MetricOptions, Workload, allocation_to_d
 _GRID_MAX_STATISTICS = 5
 _GRID_MIN_RESOLUTION = 10
 _GRID_CHUNK = 1 << 18
+# Mirror-descent step size at the first iteration; halved on each rejected step.
+_DESCENT_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -207,17 +209,16 @@ def optimize_descent(
     options: MetricOptions | None = None,
     *,
     max_iters: int = 5000,
-    step: float = 0.1,
     tol: float = 1e-10,
 ) -> OptimizationResult:
     """Mirror descent on the budget simplex, starting from uniform.
 
     Each iteration proposes budget_i * exp(-step * gradient_i), rescaled
-    to sum epsilon and floored; proposals are accepted only when they
-    improve the metric, otherwise the step is halved. Stops when an
-    accepted improvement falls below ``tol`` (relative) or the step
-    underflows; hitting ``max_iters`` first reports converged=False with
-    the best allocation found.
+    to sum epsilon and floored; the step starts at _DESCENT_STEP.
+    Proposals are accepted only when they improve the metric, otherwise
+    the step is halved. Stops when an accepted improvement falls below
+    ``tol`` (relative) or the step underflows; hitting ``max_iters`` first
+    reports converged=False with the best allocation found.
     """
     options, model = _analytic_model(options, workload)
     epsilon = workload.epsilon
@@ -225,7 +226,7 @@ def optimize_descent(
     count = len(workload.statistic_ids)
     budgets = np.full(count, epsilon / count)
     current = model.metric(budgets)
-    eta = step
+    eta = _DESCENT_STEP
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):

@@ -18,10 +18,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .allocator import OptimizationResult, grid_search, optimize_descent, sqrt_rule_allocation
-from .errors import DPBudgetError, HeavyTailWarning, ValidationError
+from .errors import DPBudgetError, ValidationError
 from .scoring import RankedAllocation, UtilityReport, compare_allocations, score_allocation
 from .simulation import SimulationReport, simulate_pipeline, simulate_with_series
 from .workload import (
+    MIN_MC_SAMPLES,
     BudgetAllocation,
     MetricOptions,
     Workload,
@@ -50,6 +51,16 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _parse_mc_samples(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"mc-samples must be an integer, got {text!r}") from None
+    if value < MIN_MC_SAMPLES:
+        raise argparse.ArgumentTypeError(f"mc-samples must be at least {MIN_MC_SAMPLES}, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = None, estimator: bool = False):
     parser.add_argument("--workload", required=True, metavar="PATH", help="workload document (JSON)")
     if allocation == "single":
@@ -61,7 +72,8 @@ def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = Non
     if estimator:
         parser.add_argument("--estimator", choices=("analytic", "montecarlo"), default=None,
                             help="override the workload's estimator")
-        parser.add_argument("--mc-samples", type=int, default=None, help="override the Monte Carlo sample count")
+        parser.add_argument("--mc-samples", type=_parse_mc_samples, default=None,
+                            help=f"override the Monte Carlo sample count (at least {MIN_MC_SAMPLES})")
         parser.add_argument("--seed", type=_parse_seed, default=None,
                             help="rng seed (decimal or 0x-hex); required for montecarlo")
 
@@ -312,22 +324,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         report = simulate_pipeline(workload, allocation, args.trials, args.seed)
     _print_simulation(report, args.format)
     if series is not None:
-        _write_trial_dump(args.dump_trials, workload, report.trials, series)
+        _write_trial_dump(args.dump_trials, report.trials, series)
     return EXIT_OK
 
 
-def _write_trial_dump(path: str, workload: Workload, trials: int, series) -> None:
-    columns = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
-    columns += [f"eq:{equation.id}" for equation in workload.equations]
+def _write_trial_dump(path: str, trials: int, series) -> None:
+    # Each column is converted in one pass: repr of each value, an empty cell for an excluded (NaN) trial.
+    columns = [["" if value != value else repr(value) for value in errors.tolist()] for errors in series.values()]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial"] + columns)
-        for t in range(trials):
-            row = [t]
-            for column in columns:
-                value = series[column][t]
-                row.append("" if value != value else repr(float(value)))
-            writer.writerow(row)
+        writer.writerow(["trial", *series])
+        writer.writerows(zip(range(trials), *columns))
 
 
 _HANDLERS = {
@@ -354,9 +361,6 @@ def run_cli(argv: list[str]) -> int:
         for issue in exc.issues:
             print(str(issue), file=sys.stderr)
         return EXIT_VALIDATION
-    except HeavyTailWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
     except (DPBudgetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE

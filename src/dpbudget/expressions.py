@@ -7,7 +7,8 @@ The surface grammar is plain infix arithmetic:
     factor := NUMBER | IDENT | "-" factor | "(" expr ")"
 
 Operators are left-associative, "*" and "/" bind tighter than "+" and "-",
-and IDENT matches ``[A-Za-z_][A-Za-z0-9_]*``.
+and IDENT matches ``[A-Za-z_][A-Za-z0-9_]*``. The parser and every walk
+over a tree are loops, so any length and nesting depth is accepted.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -83,67 +84,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ExpressionParseError(
-                offset, ("'+'", "'-'", "'*'", "'/'", "end of input"), f"unexpected {text!r}"
-            )
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "punct" and text in "+-":
-                self.advance()
-                node = Binary(BinaryOp(text), node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "punct" and text in "*/":
-                self.advance()
-                node = Binary(BinaryOp(text), node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind == "number":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ExpressionParseError(offset, ("number",), f"numeric literal {text!r} out of range")
-            return Constant(value)
-        if kind == "ident":
-            return StatRef(text)
-        if kind == "punct" and text == "-":
-            return Negate(self.factor())
-        if kind == "punct" and text == "(":
-            node = self.expr()
-            kind2, text2, offset2 = self.peek()
-            if not (kind2 == "punct" and text2 == ")"):
-                raise ExpressionParseError(offset2, ("')'",), f"unexpected {text2 or 'end of input'!r}")
-            self.advance()
-            return node
-        raise ExpressionParseError(offset, _FACTOR_EXPECTED, f"unexpected {text or 'end of input'!r}")
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 def parse_expression(text: str) -> Expr:
@@ -153,18 +94,81 @@ def parse_expression(text: str) -> Expr:
         ExpressionParseError: with the character offset of the failure and
             the token kinds that would have been accepted there.
     """
-    return _Parser(_tokenize(text)).parse()
+    operands: list[Expr] = []
+    operators: list[str] = []  # "(", "neg" (unary minus) and binary operators awaiting a right operand
+    depth = 0
+    expect_operand = True
+    for kind, token, offset in _tokenize(text):
+        if expect_operand:
+            if kind == "number":
+                value = float(token)
+                if not math.isfinite(value):
+                    raise ExpressionParseError(offset, ("number",), f"numeric literal {token!r} out of range")
+                operands.append(Constant(value))
+            elif kind == "ident":
+                operands.append(StatRef(token))
+            elif token == "-":
+                operators.append("neg")
+                continue
+            elif token == "(":
+                operators.append("(")
+                depth += 1
+                continue
+            else:
+                raise ExpressionParseError(offset, _FACTOR_EXPECTED, f"unexpected {token or 'end of input'!r}")
+            expect_operand = False
+        elif kind == "punct" and token in _PRECEDENCE:
+            while operators and operators[-1] in _PRECEDENCE and _PRECEDENCE[operators[-1]] >= _PRECEDENCE[token]:
+                _reduce(operands, operators.pop())
+            operators.append(token)
+            expect_operand = True
+            continue
+        elif depth:
+            if token != ")":
+                raise ExpressionParseError(offset, ("')'",), f"unexpected {token or 'end of input'!r}")
+            while operators[-1] != "(":
+                _reduce(operands, operators.pop())
+            operators.pop()
+            depth -= 1
+        elif kind != "end":
+            raise ExpressionParseError(offset, ("'+'", "'-'", "'*'", "'/'", "end of input"), f"unexpected {token!r}")
+        # An operand just ended: unary minuses bind to it before any binary operator.
+        while operators and operators[-1] == "neg":
+            operators.pop()
+            operands[-1] = Negate(operands[-1])
+    # Only a complete expression at depth 0 gets past the end token.
+    while operators:
+        _reduce(operands, operators.pop())
+    return operands[0]
 
 
-_PREC_ADD = 1
-_PREC_MUL = 2
+def _reduce(operands: list[Expr], operator: str) -> None:
+    right = operands.pop()
+    operands[-1] = Binary(BinaryOp(operator), operands[-1], right)
+
+
+def _postorder(root: Expr) -> list[Expr]:
+    """Every node of the tree, children before parents and left before right;
+    TypeError for anything that is not a node. Iterative, so any depth works."""
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Binary:
+            pending.append(node.left)
+            pending.append(node.right)
+        elif kind is Negate:
+            pending.append(node.operand)
+        elif kind is not Constant and kind is not StatRef:
+            raise TypeError(f"not an expression node: {node!r}")
+        order.append(node)
+    order.reverse()
+    return order
+
+
+# Above every binary operator in _PRECEDENCE: leaves and negations never need parentheses.
 _PREC_ATOM = 3
-
-
-def _precedence(node: Expr) -> int:
-    if isinstance(node, Binary):
-        return _PREC_ADD if node.op in (BinaryOp.ADD, BinaryOp.SUB) else _PREC_MUL
-    return _PREC_ATOM
 
 
 def format_expression(node: Expr) -> str:
@@ -174,38 +178,38 @@ def format_expression(node: Expr) -> str:
     structurally for every tree the parser can produce (in particular,
     constants are nonnegative; signs live in Negate nodes).
     """
-    if isinstance(node, Constant):
-        return repr(node.value)
-    if isinstance(node, StatRef):
-        return node.name
-    if isinstance(node, Negate):
-        inner = format_expression(node.operand)
-        if _precedence(node.operand) < _PREC_ATOM:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Binary):
-        prec = _precedence(node)
-        left = format_expression(node.left)
-        if _precedence(node.left) < prec:
-            left = f"({left})"
-        right = format_expression(node.right)
-        if _precedence(node.right) <= prec:
-            right = f"({right})"
-        return f"{left} {node.op.value} {right}"
-    raise TypeError(f"not an expression node: {node!r}")
+    stack: list[tuple[str, int]] = []  # (text, precedence) of each finished subtree
+    for part in _postorder(node):
+        kind = type(part)
+        if kind is Binary:
+            right, right_prec = stack.pop()
+            left, left_prec = stack.pop()
+            prec = _PRECEDENCE[part.op.value]
+            if left_prec < prec:
+                left = f"({left})"
+            if right_prec <= prec:
+                right = f"({right})"
+            stack.append((f"{left} {part.op.value} {right}", prec))
+        elif kind is Negate:
+            inner, inner_prec = stack.pop()
+            stack.append((f"-{inner}" if inner_prec == _PREC_ATOM else f"-({inner})", _PREC_ATOM))
+        elif kind is StatRef:
+            stack.append((part.name, _PREC_ATOM))
+        else:
+            stack.append((repr(part.value), _PREC_ATOM))
+    return stack[0][0]
 
 
 def free_statistics(node: Expr) -> set[str]:
     """Returns the set of statistic ids referenced anywhere in the tree."""
-    if isinstance(node, Constant):
-        return set()
-    if isinstance(node, StatRef):
-        return {node.name}
-    if isinstance(node, Negate):
-        return free_statistics(node.operand)
-    if isinstance(node, Binary):
-        return free_statistics(node.left) | free_statistics(node.right)
-    raise TypeError(f"not an expression node: {node!r}")
+    return {leaf.name for leaf in _postorder(node) if type(leaf) is StatRef}
+
+
+def _guarded_divide(left: float, right: float) -> float:
+    """``left / right``, refusing a denominator within DIVISION_GUARD of zero."""
+    if abs(right) < DIVISION_GUARD:
+        raise DivisionNearZeroError(f"denominator {right!r} is within {DIVISION_GUARD} of zero")
+    return left / right
 
 
 def evaluate(node: Expr, values: Mapping[str, float]) -> float:
@@ -216,28 +220,7 @@ def evaluate(node: Expr, values: Mapping[str, float]) -> float:
         DivisionNearZeroError: a denominator magnitude fell below
             ``DIVISION_GUARD``.
     """
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, StatRef):
-        try:
-            return float(values[node.name])
-        except KeyError:
-            raise MissingValueError(node.name) from None
-    if isinstance(node, Negate):
-        return -evaluate(node.operand, values)
-    if isinstance(node, Binary):
-        left = evaluate(node.left, values)
-        right = evaluate(node.right, values)
-        if node.op is BinaryOp.ADD:
-            return left + right
-        if node.op is BinaryOp.SUB:
-            return left - right
-        if node.op is BinaryOp.MUL:
-            return left * right
-        if abs(right) < DIVISION_GUARD:
-            raise DivisionNearZeroError(f"denominator {right!r} is within {DIVISION_GUARD} of zero")
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+    return _evaluate(node, values, float, _guarded_divide)
 
 
 def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.ndarray):
@@ -248,32 +231,42 @@ def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.nda
     with a substitute denominator of 1.0 so the rest of the batch survives.
     Returns an array, or a scalar when the tree is constant.
     """
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, StatRef):
-        try:
-            return values[node.name]
-        except KeyError:
-            raise MissingValueError(node.name) from None
-    if isinstance(node, Negate):
-        return -evaluate_batch(node.operand, values, invalid)
-    if isinstance(node, Binary):
-        left = evaluate_batch(node.left, values, invalid)
-        right = evaluate_batch(node.right, values, invalid)
-        if node.op is BinaryOp.ADD:
-            return left + right
-        if node.op is BinaryOp.SUB:
-            return left - right
-        if node.op is BinaryOp.MUL:
-            return left * right
-        if np.ndim(right) == 0:
-            if abs(right) < DIVISION_GUARD:
-                invalid[:] = True
-                right = 1.0
-        else:
-            near_zero = np.abs(right) < DIVISION_GUARD
-            if near_zero.any():
-                invalid |= near_zero
-                right = np.where(near_zero, 1.0, right)
+
+    def divide(left, right):
+        near_zero = np.abs(right) < DIVISION_GUARD
+        if near_zero.any():
+            np.logical_or(invalid, near_zero, out=invalid)
+            right = np.where(near_zero, 1.0, right)
         return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+
+    return _evaluate(node, values, np.asarray, divide)
+
+
+def _evaluate(root: Expr, values: Mapping, leaf: Callable, divide: Callable):
+    """The one evaluation walk; ``leaf`` converts each looked-up value and ``divide`` is the division rule."""
+    stack = []
+    for node in _postorder(root):
+        kind = type(node)
+        if kind is Binary:
+            right = stack.pop()
+            left = stack[-1]
+            op = node.op
+            if op is BinaryOp.ADD:
+                stack[-1] = left + right
+            elif op is BinaryOp.SUB:
+                stack[-1] = left - right
+            elif op is BinaryOp.MUL:
+                stack[-1] = left * right
+            else:
+                stack[-1] = divide(left, right)
+        elif kind is Negate:
+            stack[-1] = -stack[-1]
+        elif kind is StatRef:
+            try:
+                value = values[node.name]
+            except KeyError:
+                raise MissingValueError(node.name) from None
+            stack.append(leaf(value))
+        else:
+            stack.append(node.value)
+    return stack[0]

@@ -22,28 +22,26 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DivisionNearZeroError, HeavyTailWarning, MissingValueError
+from .errors import HeavyTailWarning, MissingValueError
 from .expressions import (
-    DIVISION_GUARD,
     Binary,
     BinaryOp,
-    Constant,
     Expr,
     Negate,
     StatRef,
+    _guarded_divide,
+    _postorder,
     evaluate,
     evaluate_batch,
     free_statistics,
 )
 from .noise import noise_stream, sample_noise_batch
-from .workload import BudgetAllocation, Workload, validate_allocation
+from .workload import MIN_MC_SAMPLES, BudgetAllocation, Workload, validate_allocation
 
 # Abort Monte Carlo when more than this fraction of samples divide by ~zero.
 HEAVY_TAIL_FRACTION = 0.001
 # Fraction of samples dropped from each tail for the trimmed rmse.
 TRIM_PER_TAIL = 0.0005
-# Fewest samples a Monte Carlo estimate accepts.
-MIN_MC_SAMPLES = 1000
 # Samples per Monte Carlo chunk. Fixed, never derived from threads or
 # memory: the chunking fixes the summation order, and so the report bytes.
 CHUNK = 1 << 14
@@ -75,44 +73,44 @@ class PropagationResult:
 def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, float]:
     """Exact partial derivatives of the expression at the reference point.
 
-    Computed by recursive differentiation of the tree; the result has one
-    entry per referenced statistic (zero entries included, e.g. for
-    "s1 - s1").
+    Computed by forward differentiation over the tree in postorder; the
+    result has one entry per referenced statistic (zero entries included,
+    e.g. for "s1 - s1").
 
     Raises:
         MissingValueError: a referenced id has no reference value.
         DivisionNearZeroError: a denominator magnitude at the reference
             point falls below DIVISION_GUARD.
     """
-    _, gradient = _value_and_gradient(ast, refs)
-    return gradient
-
-
-def _value_and_gradient(node: Expr, refs: Mapping[str, float]) -> tuple[float, dict[str, float]]:
-    if isinstance(node, Constant):
-        return node.value, {}
-    if isinstance(node, StatRef):
-        try:
-            return float(refs[node.name]), {node.name: 1.0}
-        except KeyError:
-            raise MissingValueError(node.name) from None
-    if isinstance(node, Negate):
-        value, gradient = _value_and_gradient(node.operand, refs)
-        return -value, {name: -g for name, g in gradient.items()}
-    if isinstance(node, Binary):
-        lv, lg = _value_and_gradient(node.left, refs)
-        rv, rg = _value_and_gradient(node.right, refs)
-        names = lg.keys() | rg.keys()
-        if node.op is BinaryOp.ADD:
-            return lv + rv, {n: lg.get(n, 0.0) + rg.get(n, 0.0) for n in names}
-        if node.op is BinaryOp.SUB:
-            return lv - rv, {n: lg.get(n, 0.0) - rg.get(n, 0.0) for n in names}
-        if node.op is BinaryOp.MUL:
-            return lv * rv, {n: rv * lg.get(n, 0.0) + lv * rg.get(n, 0.0) for n in names}
-        if abs(rv) < DIVISION_GUARD:
-            raise DivisionNearZeroError(f"denominator {rv!r} is within {DIVISION_GUARD} of zero")
-        return lv / rv, {n: lg.get(n, 0.0) / rv - lv * rg.get(n, 0.0) / (rv * rv) for n in names}
-    raise TypeError(f"not an expression node: {node!r}")
+    stack: list[tuple[float, dict[str, float]]] = []  # (value, partials) of each finished subtree
+    for node in _postorder(ast):
+        kind = type(node)
+        if kind is Binary:
+            rv, rg = stack.pop()
+            lv, lg = stack.pop()
+            names = lg.keys() | rg.keys()
+            op = node.op
+            if op is BinaryOp.ADD:
+                stack.append((lv + rv, {n: lg.get(n, 0.0) + rg.get(n, 0.0) for n in names}))
+            elif op is BinaryOp.SUB:
+                stack.append((lv - rv, {n: lg.get(n, 0.0) - rg.get(n, 0.0) for n in names}))
+            elif op is BinaryOp.MUL:
+                stack.append((lv * rv, {n: rv * lg.get(n, 0.0) + lv * rg.get(n, 0.0) for n in names}))
+            else:
+                value = _guarded_divide(lv, rv)
+                stack.append((value, {n: lg.get(n, 0.0) / rv - lv * rg.get(n, 0.0) / (rv * rv) for n in names}))
+        elif kind is Negate:
+            value, gradient = stack.pop()
+            stack.append((-value, {name: -g for name, g in gradient.items()}))
+        elif kind is StatRef:
+            try:
+                value = refs[node.name]
+            except KeyError:
+                raise MissingValueError(node.name) from None
+            stack.append((float(value), {node.name: 1.0}))
+        else:
+            stack.append((node.value, {}))
+    return stack[0][1]
 
 
 class FirstOrderModel:

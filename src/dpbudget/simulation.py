@@ -80,8 +80,9 @@ def simulate_with_series(
 ) -> tuple[SimulationReport, dict[str, np.ndarray]]:
     """Like simulate_pipeline, also returning per-trial error series.
 
-    Series keys are "stat:<id>" and "eq:<id>"; excluded equation trials
-    hold NaN. The report equals simulate_pipeline's.
+    Series keys are "stat:<id>" per statistic, then "eq:<id>" per equation,
+    in workload order; excluded equation trials hold NaN. The report
+    equals simulate_pipeline's.
     """
     keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
     keys += [f"eq:{equation.id}" for equation in workload.equations]

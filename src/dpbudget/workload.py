@@ -22,6 +22,9 @@ BUDGET_SUM_RTOL = 1e-9
 
 ESTIMATORS = ("analytic", "montecarlo")
 
+# Fewest samples a Monte Carlo estimate accepts.
+MIN_MC_SAMPLES = 1000
+
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -156,6 +159,16 @@ def _float_or_raw(value: Any) -> Any:
     return value if number is None else number
 
 
+def _shown(value: Any) -> str:
+    """``repr(value)``, or the size of an integer past the interpreter's digit limit, whose repr raises."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"an integer of {value.bit_length()} bits"
+
+
 def _check_number(
     issues: list[ValidationIssue],
     value: Any,
@@ -171,7 +184,8 @@ def _check_number(
     """
     number = _as_number(value)
     if number is None:
-        issues.append(ValidationIssue("MalformedDocument", f"{what} must be a finite number, got {value!r}", subject))
+        message = f"{what} must be a finite number, got {_shown(value)}"
+        issues.append(ValidationIssue("MalformedDocument", message, subject))
     elif nonpositive_code is not None and number <= 0:
         issues.append(ValidationIssue(nonpositive_code, f"{what} must be positive, got {number!r}", subject))
     return number
@@ -180,7 +194,7 @@ def _check_number(
 def _check_id(issues: list[ValidationIssue], kind: str, value: Any, seen: set[str]) -> bool:
     """Reports a malformed or repeated id; returns whether the entry's values can be checked."""
     if not isinstance(value, str) or not _ID_RE.match(value):
-        issues.append(ValidationIssue("MalformedDocument", f"{kind} id {value!r} is not a valid identifier"))
+        issues.append(ValidationIssue("MalformedDocument", f"{kind} id {_shown(value)} is not a valid identifier"))
         return False
     if value in seen:
         issues.append(ValidationIssue("DuplicateId", f"{kind} id {value!r} appears more than once", value))
@@ -223,35 +237,20 @@ def _workload_issues(
                         )
                     )
 
+    def malformed_option(name: str, rule: str) -> None:
+        message = f"options.{name} must {rule}, got {_shown(getattr(options, name))}"
+        issues.append(ValidationIssue("MalformedDocument", message))
+
     if not isinstance(options.normalize_by_sensitivity, bool):
-        issues.append(
-            ValidationIssue(
-                "MalformedDocument",
-                f"options.normalize_by_sensitivity must be a boolean, got {options.normalize_by_sensitivity!r}",
-            )
-        )
+        malformed_option("normalize_by_sensitivity", "be a boolean")
     if options.estimator not in ESTIMATORS:
-        issues.append(
-            ValidationIssue(
-                "MalformedDocument",
-                f"options.estimator must be one of {ESTIMATORS}, got {options.estimator!r}",
-            )
-        )
-    if not isinstance(options.mc_samples, int) or isinstance(options.mc_samples, bool) or options.mc_samples < 1:
-        issues.append(
-            ValidationIssue(
-                "MalformedDocument", f"options.mc_samples must be a positive integer, got {options.mc_samples!r}"
-            )
-        )
+        malformed_option("estimator", f"be one of {ESTIMATORS}")
+    samples = options.mc_samples
+    if not isinstance(samples, int) or isinstance(samples, bool) or samples < MIN_MC_SAMPLES:
+        malformed_option("mc_samples", f"be an integer of at least {MIN_MC_SAMPLES}")
     fraction = _as_number(options.min_budget_fraction)
     if fraction is None or fraction <= 0 or (statistics and fraction >= 1.0 / len(statistics)):
-        issues.append(
-            ValidationIssue(
-                "MalformedDocument",
-                "options.min_budget_fraction must satisfy 0 < fraction < 1/(number of statistics), "
-                f"got {options.min_budget_fraction!r}",
-            )
-        )
+        malformed_option("min_budget_fraction", "satisfy 0 < fraction < 1/(number of statistics)")
 
     return issues
 

@@ -19,6 +19,15 @@ from dpbudget.expressions import Binary, BinaryOp, Constant, Expr, Negate, StatR
 from dpbudget.propagation import gradient_at_reference
 
 
+# Expressions deep enough to overflow a recursive walker: a left-deep sum, a
+# right-deep product in nested parentheses, and a chain of unary minuses.
+DEEP_EXPRESSIONS = {
+    "sum": " + ".join(["s1"] * 5000),
+    "parens": "s1 * (" * 2000 + "s1 * s1" + ")" * 2000,
+    "minus": "-" * 3001 + "s2",
+}
+
+
 def make_workload(
     epsilon: float = 1.0,
     stats: tuple[tuple[str, float, float], ...] = (("s1", 1.0, 10.0), ("s2", 1.0, 20.0)),

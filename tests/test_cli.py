@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import random
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dpbudget import (
     allocation_to_dict,
@@ -13,12 +17,13 @@ from dpbudget import (
     load_allocation,
     load_workload,
     score_allocation,
+    simulate_with_series,
     uniform_allocation,
     validate_allocation,
 )
 from dpbudget.cli import run_cli
 
-from helpers import random_allocation, random_instance
+from helpers import DEEP_EXPRESSIONS, random_allocation, random_instance
 
 DATA = Path(__file__).parent / "data"
 PAPER = str(DATA / "paper4.json")
@@ -361,3 +366,143 @@ def test_unparseable_json_is_malformed_document(tmp_path, capsys):
         code, out, _ = run(capsys, "validate", "--workload", path, "--format", "json")
         assert code == 1
         assert [issue["code"] for issue in json.loads(out)["issues"]] == ["MalformedDocument"]
+
+
+def test_monte_carlo_sample_floor_is_a_validation_and_usage_rule(tmp_path, capsys):
+    paper = json.loads((DATA / "paper4.json").read_text())
+    paper["options"].update(estimator="montecarlo", mc_samples=500)
+    few = _write(tmp_path, "few.json", json.dumps(paper))
+    code, out, _ = run(capsys, "validate", "--workload", few, "--format", "json")
+    assert code == 1
+    assert [(issue["code"], issue["message"]) for issue in json.loads(out)["issues"]] == [
+        ("MalformedDocument", "options.mc_samples must be an integer of at least 1000, got 500")
+    ]
+    for samples in ("0", "999", "lots"):
+        code, out, err = run(
+            capsys, "score", "--workload", PAPER, "--allocation", UNIFORM,
+            "--estimator", "montecarlo", "--mc-samples", samples, "--seed", "1",
+        )
+        assert (code, out) == (2, ""), samples
+        assert "--mc-samples" in err
+
+
+def test_trial_dump_cells_match_the_series(tmp_path, capsys):
+    # The s1 / d instance of test_propagation.py: d's noise crosses zero in a
+    # few trials, which are excluded (NaN in the series, empty in the dump).
+    document = json.dumps({
+        "epsilon": 2.0,
+        "statistics": [
+            {"id": "s1", "sensitivity": 1.0, "reference_value": 10.0},
+            {"id": "d", "sensitivity": 2e-9, "reference_value": 1e-9},
+        ],
+        "equations": [{"id": "q", "expression": "s1 / d", "sensitivity": 1.0}],
+    })
+    budgets = '{"budgets": {"s1": 1.0, "d": 1.0}}'
+    dump = tmp_path / "trials.csv"
+    trials = 50_010
+    code, _, _ = run(
+        capsys, "simulate", "--workload", _write(tmp_path, "w.json", document),
+        "--allocation", _write(tmp_path, "a.json", budgets), "--trials", str(trials), "--seed", "6",
+        "--dump-trials", str(dump),
+    )
+    assert code == 0
+    workload = load_workload(document)
+    _, series = simulate_with_series(workload, load_allocation(budgets, workload), trials, 6)
+    with open(dump, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["trial", "stat:s1", "stat:d", "eq:q"]
+    assert len(rows) == trials + 1
+    for t, row in enumerate(rows[1:]):
+        expected = [str(t)] + ["" if math.isnan(values[t]) else repr(float(values[t])) for values in series.values()]
+        assert row == expected, t
+    assert 0 < sum(row[3] == "" for row in rows[1:]) < 50
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
+def test_deep_expressions_run_through_the_cli(tmp_path, capsys, shape):
+    workload = _write(tmp_path, "deep.json", json.dumps({
+        "epsilon": 1.0,
+        "statistics": [
+            {"id": "s1", "sensitivity": 1e-3, "reference_value": 1.0},
+            {"id": "s2", "sensitivity": 1e-3, "reference_value": 2.0},
+        ],
+        "equations": [{"id": "deep", "expression": DEEP_EXPRESSIONS[shape], "sensitivity": 1.0}],
+    }))
+    budgets = _write(tmp_path, "budgets.json", '{"budgets": {"s1": 0.5, "s2": 0.5}}')
+    for argv in (
+        ("validate",),
+        ("score",),
+        ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+        ("simulate", "--trials", "1000", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, argv[0], "--workload", workload, "--allocation", budgets, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        json.loads(out)
+
+
+# Mostly well-formed values, so that many documents get past validation to
+# score and simulate, with malformed and extreme ones mixed in.
+def _mostly(common, rare):
+    """``common`` nine times in ten, ``rare`` otherwise."""
+    return st.integers(0, 9).flatmap(lambda roll: rare if roll == 0 else common)
+
+
+_anything = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
+_numbers = _mostly(
+    st.floats(min_value=0.1, max_value=50.0), st.one_of(st.sampled_from([0, 1e-13, 1e300, 10**400]), _anything)
+)
+_references = _mostly(st.floats(min_value=-50.0, max_value=50.0), st.one_of(st.sampled_from([1e-13, 1e300]), _anything))
+_arithmetic = st.recursive(
+    st.sampled_from(["s1", "s2", "s3", "2", "0.5", "0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=8,
+)
+_expressions = _mostly(
+    _arithmetic,
+    st.one_of(
+        st.text(alphabet="s12 +-*/().e9$", max_size=30),
+        st.sampled_from(["s1 / (s2 - s2)", "s1 / (s2 - 1e-13)", "1e999", *DEEP_EXPRESSIONS.values()]),
+    ),
+)
+_statistics = st.lists(
+    st.fixed_dictionaries({"sensitivity": _numbers, "reference_value": _references}), min_size=1, max_size=3
+).map(lambda entries: [{"id": f"s{i + 1}", **entry} for i, entry in enumerate(entries)])
+_equations = st.lists(
+    st.fixed_dictionaries({"expression": _expressions, "sensitivity": _numbers}), max_size=3
+).map(lambda entries: [{"id": f"eq{j + 1}", **entry} for j, entry in enumerate(entries)])
+_documents = st.fixed_dictionaries(
+    {"epsilon": _numbers, "statistics": _mostly(_statistics, _anything), "equations": _equations},
+    optional={
+        "options": st.fixed_dictionaries({}, optional={
+            "estimator": st.sampled_from(["analytic", "montecarlo", "other"]),
+            "mc_samples": st.one_of(st.integers(0, 2000), _anything),
+            "min_budget_fraction": _numbers,
+            "normalize_by_sensitivity": st.one_of(st.booleans(), _anything),
+        }),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_mostly(_documents, _anything))
+def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path, capsys, document):
+    statistics = document.get("statistics") if isinstance(document, dict) else None
+    ids = [entry["id"] for entry in statistics] if isinstance(statistics, list) else []
+    epsilon = document.get("epsilon") if isinstance(document, dict) else None
+    share = epsilon / len(ids) if ids and isinstance(epsilon, float) and math.isfinite(epsilon) else 1.0
+    workload = _write(tmp_path, "fuzz.json", json.dumps(document))
+    budgets = _write(tmp_path, "budgets.json", json.dumps({"budgets": {stat_id: share for stat_id in ids}}))
+    code, out, err = run(capsys, "validate", "--workload", workload, "--allocation", budgets, "--format", "json")
+    assert code in (0, 1)
+    assert json.loads(out)["valid"] is (code == 0)
+    for argv in (
+        ("score",),
+        ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+        ("simulate", "--trials", "200", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, argv[0], "--workload", workload, "--allocation", budgets, *argv[1:])
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +13,15 @@ from dpbudget.expressions import (
     Negate,
     StatRef,
     evaluate,
+    evaluate_batch,
     format_expression,
     free_statistics,
     parse_expression,
 )
 
-from helpers import random_tree
+from dpbudget.propagation import gradient_at_reference
+
+from helpers import DEEP_EXPRESSIONS, random_tree
 
 
 def test_parse_sum():
@@ -64,6 +68,81 @@ def test_parse_rejects_garbage():
         parse_expression("1e999")
 
 
+_OPERAND = ("number", "identifier", "'-'", "'('")
+_OPERATOR = ("'+'", "'-'", "'*'", "'/'", "end of input")
+_CLOSE = ("')'",)
+
+# (text, offset, expected, message) for every way the grammar can fail.
+PARSE_ERRORS = [
+    ("", 0, _OPERAND, "unexpected 'end of input'"),
+    ("   ", 3, _OPERAND, "unexpected 'end of input'"),
+    ("s1 +", 4, _OPERAND, "unexpected 'end of input'"),
+    ("s1 + ", 5, _OPERAND, "unexpected 'end of input'"),
+    ("s1 s2", 3, _OPERATOR, "unexpected 's2'"),
+    ("(s1 + s2", 8, _CLOSE, "unexpected 'end of input'"),
+    ("(s1 s2)", 4, _CLOSE, "unexpected 's2'"),
+    ("s1)", 2, _OPERATOR, "unexpected ')'"),
+    ("1e999", 0, ("number",), "numeric literal '1e999' out of range"),
+    ("s1 * 1e999", 5, ("number",), "numeric literal '1e999' out of range"),
+    ("s1 $ s2", 3, _OPERAND, "unexpected character '$'"),
+    ("(", 1, _OPERAND, "unexpected 'end of input'"),
+    (")", 0, _OPERAND, "unexpected ')'"),
+    ("()", 1, _OPERAND, "unexpected ')'"),
+    ("-", 1, _OPERAND, "unexpected 'end of input'"),
+    ("- -", 3, _OPERAND, "unexpected 'end of input'"),
+    ("* s1", 0, _OPERAND, "unexpected '*'"),
+    ("s1 + * s2", 5, _OPERAND, "unexpected '*'"),
+    ("(s1))", 4, _OPERATOR, "unexpected ')'"),
+    ("((s1) 2)", 6, _CLOSE, "unexpected '2'"),
+    ("-(s1 + )", 7, _OPERAND, "unexpected ')'"),
+    ("s1 / (s2 * (s3 + 4)", 19, _CLOSE, "unexpected 'end of input'"),
+    ("2 (s1)", 2, _OPERATOR, "unexpected '('"),
+    ("s1 @", 3, _OPERAND, "unexpected character '@'"),
+    ("@ s1 +", 0, _OPERAND, "unexpected character '@'"),
+    ("(s1 + $", 6, _OPERAND, "unexpected character '$'"),
+    ("\u00e9", 0, _OPERAND, "unexpected character '\u00e9'"),
+    ("1.5.2", 3, _OPERATOR, "unexpected '.2'"),
+    ("3e", 1, _OPERATOR, "unexpected 'e'"),
+    ("s1 -- ", 6, _OPERAND, "unexpected 'end of input'"),
+    ("(s1 + s2) s3", 10, _OPERATOR, "unexpected 's3'"),
+    ("-s1 )", 4, _OPERATOR, "unexpected ')'"),
+]
+
+
+@pytest.mark.parametrize("text, offset, expected, message", PARSE_ERRORS)
+def test_parse_error_offset_expected_and_message(text, offset, expected, message):
+    with pytest.raises(ExpressionParseError) as excinfo:
+        parse_expression(text)
+    assert (excinfo.value.offset, excinfo.value.expected) == (offset, expected)
+    assert str(excinfo.value) == f"at offset {offset}: {message} (expected {', '.join(expected)})"
+
+
+# The dataclass __eq__ and __repr__ recurse, so deep trees are compared by
+# their formatted text, never with ==.
+DEEP_REFS = {"s1": 1.0, "s2": 2.0}
+# (shape, statistics, value at DEEP_REFS, gradient at DEEP_REFS)
+DEEP_CASES = [
+    ("sum", {"s1"}, 5000.0, {"s1": 5000.0}),
+    ("parens", {"s1"}, 1.0, {"s1": 2002.0}),
+    ("minus", {"s2"}, -2.0, {"s2": -1.0}),
+]
+
+
+@pytest.mark.parametrize("shape, names, value, gradient", DEEP_CASES, ids=[case[0] for case in DEEP_CASES])
+def test_deep_expressions_need_no_recursion(shape, names, value, gradient):
+    text = DEEP_EXPRESSIONS[shape]
+    tree = parse_expression(text)
+    assert format_expression(tree) == text
+    assert format_expression(parse_expression(format_expression(tree))) == text
+    assert free_statistics(tree) == names
+    assert evaluate(tree, DEEP_REFS) == value
+    assert gradient_at_reference(tree, DEEP_REFS) == gradient
+    samples = {name: np.full(4, ref) for name, ref in DEEP_REFS.items()}
+    invalid = np.zeros(4, dtype=bool)
+    assert np.array_equal(evaluate_batch(tree, samples, invalid), np.full(4, value))
+    assert not invalid.any()
+
+
 def test_format_examples():
     assert format_expression(Binary(BinaryOp.ADD, StatRef("s2"), StatRef("s3"))) == "s2 + s3"
     quotient = Binary(BinaryOp.DIV, Binary(BinaryOp.ADD, StatRef("s1"), StatRef("s2")), StatRef("s4"))
@@ -97,6 +176,25 @@ def test_evaluate_division_guard():
     ast = parse_expression("(s1 + s2) / s4")
     with pytest.raises(DivisionNearZeroError):
         evaluate(ast, {"s1": 1, "s2": -1, "s4": 1e-15})
+
+
+def test_evaluate_batch_flags_near_zero_denominators():
+    tree = parse_expression("s1 / s2")
+    invalid = np.zeros(3, dtype=bool)
+    out = evaluate_batch(tree, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, 1e-13, -4.0])}, invalid)
+    assert invalid.tolist() == [False, True, False]
+    assert out.tolist() == [0.5, 2.0, -0.75]
+    # A scalar denominator near zero flags every sample.
+    invalid = np.zeros(3, dtype=bool)
+    out = evaluate_batch(parse_expression("s1 / 0"), {"s1": np.array([1.0, 2.0, 3.0])}, invalid)
+    assert invalid.all()
+    assert out.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_walkers_reject_foreign_nodes():
+    for walk in (format_expression, free_statistics, lambda node: evaluate(node, {"s1": 1.0})):
+        with pytest.raises(TypeError):
+            walk(Binary(BinaryOp.ADD, StatRef("s1"), "s2"))
 
 
 def test_evaluate_missing_value():

@@ -258,6 +258,14 @@ WELL_SHAPED_DOCUMENTS = [
     ("bad options", _with(options={"normalize_by_sensitivity": 1, "estimator": "quantum", "mc_samples": 0,
                                    "min_budget_fraction": 0}), ["MalformedDocument"] * 4),
     ("fraction at 1/n", _with(options={"min_budget_fraction": 0.25}), ["MalformedDocument"]),
+    ("too few Monte Carlo samples", _with(options={"estimator": "montecarlo", "mc_samples": 999}),
+     ["MalformedDocument"]),
+    ("integers past the digit limit",
+     _with(epsilon=10**5000, statistics={0: {"sensitivity": 10**5000, "reference_value": -(10**5000)}}),
+     ["MalformedDocument"] * 3),
+    ("options past the digit limit", _with(options={"normalize_by_sensitivity": 10**5000, "estimator": 10**5000,
+                                                    "mc_samples": -(10**5000), "min_budget_fraction": 10**5000}),
+     ["MalformedDocument"] * 4),
 ]
 
 
@@ -269,6 +277,23 @@ def test_loader_and_construction_report_the_same_issues(doc, codes):
     assert [code for code, _, _ in loaded] == codes
     if not codes:
         assert load_workload(doc) == _construct(doc)
+
+
+def test_integers_past_the_digit_limit_are_named_by_size():
+    # repr() of such an integer raises ValueError, so the message gives its size.
+    huge = 10**5000
+    shown = f"an integer of {huge.bit_length()} bits"
+    assert _issues(lambda: Workload(huge, (StatisticSpec("s1", huge, -huge),))) == [
+        ("MalformedDocument", None, f"epsilon must be a finite number, got {shown}"),
+        ("MalformedDocument", "s1", f"statistic 's1' sensitivity must be a finite number, got {shown}"),
+        ("MalformedDocument", "s1", f"statistic 's1' reference_value must be a finite number, got {shown}"),
+    ]
+
+
+def test_monte_carlo_sample_floor_message():
+    issues = _issues(lambda: make_workload(mc_samples=999))
+    assert issues == [("MalformedDocument", None, "options.mc_samples must be an integer of at least 1000, got 999")]
+    assert _issues(lambda: make_workload(mc_samples=1000)) == []
 
 
 def test_value_checks_run_once_per_load(monkeypatch):
