@@ -5,138 +5,61 @@ the equations an analyst is predicted to compute from the released values,
 this package scores candidate budget allocations by the noise they imply,
 searches for low-noise allocations, and replays the whole pipeline to
 check the predictions empirically.
+
+Each public name is imported from its module on first use, so loading and
+validating documents does not import numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .allocator import (
-    OptimizationResult,
-    grid_search,
-    objective_gradient,
-    optimize_descent,
-    sqrt_rule_allocation,
-    uniform_allocation,
-)
-from .errors import (
-    DPBudgetError,
-    DivisionNearZeroError,
-    ExpressionParseError,
-    HeavyTailWarning,
-    MissingValueError,
-    NotSeparableError,
-    ResolutionTooCoarseError,
-    TooManyStatisticsError,
-    ValidationError,
-    ValidationIssue,
-)
-from .expressions import (
-    Binary,
-    BinaryOp,
-    Constant,
-    Expr,
-    Negate,
-    StatRef,
-    evaluate,
-    format_expression,
-    free_statistics,
-    parse_expression,
-)
-from .noise import (
-    NoiseProfile,
-    consumed_budget,
-    noise_profile,
-    noise_stream,
-    release_statistics,
-    sample_noise,
-    sample_noise_batch,
-)
-from .propagation import (
-    MonteCarloDetail,
-    PropagationResult,
-    gradient_at_reference,
-    propagate_variance_analytic,
-    propagate_variance_montecarlo,
-)
-from .scoring import (
-    RankedAllocation,
-    UtilityReport,
-    compare_allocations,
-    score_allocation,
-)
-from .simulation import (
-    EquationErrorSummary,
-    SimulationReport,
-    StatisticErrorSummary,
-    simulate_pipeline,
-    simulate_with_series,
-)
-from .workload import (
-    BudgetAllocation,
-    EquationSpec,
-    MetricOptions,
-    StatisticSpec,
-    Workload,
-    allocation_to_dict,
-    load_allocation,
-    load_workload,
-    validate_allocation,
-)
+# Home module of every public name.
+_HOMES = {
+    "allocator": (
+        "OptimizationResult", "grid_search", "objective_gradient", "optimize_descent", "sqrt_rule_allocation",
+        "uniform_allocation",
+    ),
+    "errors": (
+        "DPBudgetError", "DivisionNearZeroError", "ExpressionParseError", "HeavyTailWarning", "MissingValueError",
+        "NonFiniteError", "NotSeparableError", "ResolutionTooCoarseError", "TooManyStatisticsError",
+        "ValidationError", "ValidationIssue",
+    ),
+    "expressions": (
+        "Binary", "BinaryOp", "Constant", "Expr", "Negate", "StatRef", "evaluate", "format_expression",
+        "free_statistics", "parse_expression",
+    ),
+    "noise": (
+        "NoiseProfile", "consumed_budget", "noise_profile", "noise_stream", "release_statistics", "sample_noise",
+        "sample_noise_batch",
+    ),
+    "propagation": (
+        "MonteCarloDetail", "PropagationResult", "gradient_at_reference", "propagate_variance_analytic",
+        "propagate_variance_montecarlo",
+    ),
+    "scoring": ("RankedAllocation", "UtilityReport", "compare_allocations", "score_allocation"),
+    "simulation": (
+        "EquationErrorSummary", "SimulationReport", "StatisticErrorSummary", "simulate_pipeline",
+        "simulate_with_series",
+    ),
+    "workload": (
+        "BudgetAllocation", "EquationSpec", "MetricOptions", "StatisticSpec", "Workload", "allocation_to_dict",
+        "load_allocation", "load_workload", "validate_allocation",
+    ),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BinaryOp",
-    "Binary",
-    "BudgetAllocation",
-    "Constant",
-    "DPBudgetError",
-    "DivisionNearZeroError",
-    "EquationErrorSummary",
-    "EquationSpec",
-    "Expr",
-    "ExpressionParseError",
-    "HeavyTailWarning",
-    "MetricOptions",
-    "MissingValueError",
-    "MonteCarloDetail",
-    "Negate",
-    "NoiseProfile",
-    "NotSeparableError",
-    "OptimizationResult",
-    "PropagationResult",
-    "RankedAllocation",
-    "ResolutionTooCoarseError",
-    "SimulationReport",
-    "StatRef",
-    "StatisticErrorSummary",
-    "StatisticSpec",
-    "TooManyStatisticsError",
-    "UtilityReport",
-    "ValidationError",
-    "ValidationIssue",
-    "Workload",
-    "allocation_to_dict",
-    "compare_allocations",
-    "consumed_budget",
-    "evaluate",
-    "format_expression",
-    "free_statistics",
-    "gradient_at_reference",
-    "grid_search",
-    "load_allocation",
-    "load_workload",
-    "noise_profile",
-    "noise_stream",
-    "objective_gradient",
-    "optimize_descent",
-    "parse_expression",
-    "propagate_variance_analytic",
-    "propagate_variance_montecarlo",
-    "release_statistics",
-    "sample_noise",
-    "sample_noise_batch",
-    "score_allocation",
-    "simulate_pipeline",
-    "simulate_with_series",
-    "sqrt_rule_allocation",
-    "uniform_allocation",
-    "validate_allocation",
-]
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME_OF.keys())

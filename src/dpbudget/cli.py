@@ -16,11 +16,9 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .allocator import OptimizationResult, grid_search, optimize_descent, sqrt_rule_allocation
 from .errors import DPBudgetError, ValidationError
-from .scoring import RankedAllocation, UtilityReport, compare_allocations, score_allocation
-from .simulation import SimulationReport, simulate_pipeline, simulate_with_series
 from .workload import (
     MIN_MC_SAMPLES,
     BudgetAllocation,
@@ -30,6 +28,13 @@ from .workload import (
     load_allocation,
     load_workload,
 )
+
+# The modules that need numpy are imported by the handlers that use them,
+# so that validate starts without it.
+if TYPE_CHECKING:
+    from .allocator import OptimizationResult
+    from .scoring import RankedAllocation, UtilityReport
+    from .simulation import SimulationReport
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -259,6 +264,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .scoring import score_allocation
+
     workload = _load_workload_file(args.workload)
     options = _effective_options(workload, args)
     _require_seed_for_montecarlo(options, args)
@@ -269,6 +276,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .scoring import compare_allocations
+
     paths = list(args.allocations) + list(args.allocation_flags)
     if len(paths) < 2:
         raise _UsageError("compare needs at least two allocation documents")
@@ -289,6 +298,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    from .allocator import grid_search, optimize_descent, sqrt_rule_allocation
+
     workload = _load_workload_file(args.workload)
     if args.method == "sqrt":
         result = sqrt_rule_allocation(workload)
@@ -313,6 +324,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulation import simulate_pipeline, simulate_with_series
+
     if args.seed is None:
         raise _UsageError("simulate requires an explicit --seed")
     workload = _load_workload_file(args.workload)

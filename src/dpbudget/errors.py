@@ -71,6 +71,10 @@ class DivisionNearZeroError(DPBudgetError):
     """A division was attempted with a denominator too close to zero."""
 
 
+class NonFiniteError(DPBudgetError):
+    """A value, weight or score overflowed floating point (or is NaN); the inputs' magnitudes are too large."""
+
+
 class HeavyTailWarning(DPBudgetError):
     """Too many sampled denominators were near zero; estimates would be meaningless."""
 

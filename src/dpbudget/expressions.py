@@ -17,11 +17,12 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import DivisionNearZeroError, ExpressionParseError, MissingValueError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Denominators at or below this magnitude are treated as division by zero.
 DIVISION_GUARD = 1e-12
@@ -35,25 +36,52 @@ class BinaryOp(enum.Enum):
 
 
 class Expr:
-    """Base class for expression nodes. Trees are immutable once built."""
+    """Base class for expression nodes. Trees are immutable once built.
+
+    Equality, hashing and repr are structural, as for dataclasses, but are
+    loops over the tree, so they work at any depth.
+    """
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or _structure(self) == _structure(other)
+
+    def __hash__(self):
+        return hash(_structure(self))
+
+    def __repr__(self):
+        stack: list[str] = []  # repr of each finished subtree
+        for node in _postorder(self):
+            kind = type(node)
+            if kind is Binary:
+                right = stack.pop()
+                stack[-1] = f"Binary(op={node.op!r}, left={stack[-1]}, right={right})"
+            elif kind is Negate:
+                stack[-1] = f"Negate(operand={stack[-1]})"
+            elif kind is StatRef:
+                stack.append(f"StatRef(name={node.name!r})")
+            else:
+                stack.append(f"Constant(value={node.value!r})")
+        return stack[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Constant(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class StatRef(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Negate(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Expr):
     op: BinaryOp
     left: Expr
@@ -167,6 +195,22 @@ def _postorder(root: Expr) -> list[Expr]:
     return order
 
 
+def _structure(root: Expr) -> tuple:
+    """The tree as one (kind, field) pair per node in postorder; equal exactly when the trees are."""
+    key = []
+    for node in _postorder(root):
+        kind = type(node)
+        if kind is Binary:
+            key.append((kind, node.op))
+        elif kind is Negate:
+            key.append((kind, None))
+        elif kind is StatRef:
+            key.append((kind, node.name))
+        else:
+            key.append((kind, node.value))
+    return tuple(key)
+
+
 # Above every binary operator in _PRECEDENCE: leaves and negations never need parentheses.
 _PREC_ATOM = 3
 
@@ -231,6 +275,7 @@ def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.nda
     with a substitute denominator of 1.0 so the rest of the batch survives.
     Returns an array, or a scalar when the tree is constant.
     """
+    import numpy as np  # here, so that parsing and validation never load numpy
 
     def divide(left, right):
         near_zero = np.abs(right) < DIVISION_GUARD

@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HeavyTailWarning, MissingValueError
+from .errors import HeavyTailWarning, MissingValueError, NonFiniteError
 from .expressions import (
     Binary,
     BinaryOp,
@@ -121,7 +121,8 @@ class FirstOrderModel:
     the column i and the weight 2 * g^2 * sensitivity_i^2, so equation j's
     predicted variance at budgets b is the row sum of weight / b_i^2. Cost
     is linear in the Jacobian's nonzeros. Budget vectors are indexed in
-    workload-statistic order and are not validated here.
+    workload-statistic order and are not validated here. A weight that
+    overflows (or is NaN) raises NonFiniteError naming its equation.
     """
 
     def __init__(self, workload: Workload, normalize: bool):
@@ -130,6 +131,14 @@ class FirstOrderModel:
         self.rows, self.cols, self.weights = _jacobian_weights(
             workload, [equation.expression for equation in workload.equations]
         )
+        overflowed = np.flatnonzero(~np.isfinite(self.weights))
+        if overflowed.size:
+            entry = overflowed[0]
+            equation, spec = workload.equations[self.rows[entry]], workload.statistics[self.cols[entry]]
+            raise NonFiniteError(
+                f"equation {equation.id!r}: its first-order weight in statistic {spec.id!r} "
+                f"is {float(self.weights[entry])!r} at the reference values"
+            )
         self.n_eq = len(workload.equations)
         self.norms = np.array(
             [equation.sensitivity if normalize else 1.0 for equation in workload.equations], dtype=float
@@ -273,11 +282,16 @@ def replay_montecarlo(
 
     Raises:
         DivisionNearZeroError: an expression is degenerate at the reference.
+        NonFiniteError: an expression's value at the reference, or the
+            summary of its errors, overflows (or is NaN).
         HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's
             samples hit near-zero denominators.
     """
     refs = workload.reference_values()
     reference_outputs = [evaluate(ast, refs) for _, ast in expressions]
+    for (label, _), output in zip(expressions, reference_outputs):
+        if not math.isfinite(output):
+            raise NonFiniteError(f"{label}: its value at the reference values is {output!r}")
     used = set().union(*(free_statistics(ast) for _, ast in expressions))
     streams = [
         (spec.id, spec.reference_value, spec.sensitivity / allocation.budgets[spec.id], noise_stream(seed, index))
@@ -305,13 +319,19 @@ def replay_montecarlo(
                 chunk_errors.append(errors)
         if sink is not None:
             sink(start, chunk_errors)
+    results = []
     for (label, _), summary in zip(expressions, summaries):
         if summary.excluded > HEAVY_TAIL_FRACTION * count:
             raise HeavyTailWarning(
                 f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
                 f"(limit {HEAVY_TAIL_FRACTION:.1%})"
             )
-    return [summary.result() for summary in summaries]
+        result = summary.result()
+        # Finite when no error and no sum of squared errors overflowed.
+        if not (math.isfinite(result.rmse) and math.isfinite(result.variance)):
+            raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {result.rmse!r})")
+        results.append(result)
+    return results
 
 
 class _ErrorSummary:

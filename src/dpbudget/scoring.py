@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .errors import NonFiniteError
 from .propagation import FirstOrderModel, budget_vector, check_mc_samples, replay_montecarlo
 from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
@@ -88,7 +89,12 @@ def score_validated(
         equation_part = [result.rmse / norm for result, norm in zip(results, model.norms.tolist())]
     us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
     ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
-    metric = math.fsum(us_terms.values()) + math.fsum(ue_terms.values())
+    try:
+        metric = math.fsum(us_terms.values()) + math.fsum(ue_terms.values())
+    except OverflowError:  # finite terms whose sum overflows
+        metric = math.inf
+    if not math.isfinite(metric):
+        raise NonFiniteError(f"the metric overflows at this allocation ({metric!r}): its budgets are too small")
     return UtilityReport(metric=metric, us_terms=us_terms, ue_terms=ue_terms, options=options)
 
 

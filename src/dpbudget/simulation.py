@@ -9,6 +9,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .expressions import StatRef
 from .propagation import FirstOrderModel, budget_vector, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
@@ -102,6 +103,8 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     budgets = budget_vector(workload, allocation)
     model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
     predicted = np.sqrt(model.variances(budgets)).tolist()
+    if not all(map(math.isfinite, predicted)):
+        raise NonFiniteError("a predicted equation rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the
     # bare-reference expression over it yields.
     expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]

@@ -378,8 +378,9 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
     statistic_ids = workload.statistic_ids
 
     unknown = raw.keys() - set(statistic_ids)
-    for key in sorted(unknown, key=lambda key: (str(key), repr(key))):
-        issues.append(ValidationIssue("UnknownBudgetId", f"budget for unknown statistic {key!r}", key))
+    shown = {key: _shown(key) for key in unknown}
+    for key in sorted(unknown, key=lambda key: (key if isinstance(key, str) else shown[key], shown[key])):
+        issues.append(ValidationIssue("UnknownBudgetId", f"budget for unknown statistic {shown[key]}", key))
 
     complete = not unknown
     for stat_id in statistic_ids:

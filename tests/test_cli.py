@@ -39,6 +39,15 @@ def module_env(**overrides):
     return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
@@ -440,6 +449,38 @@ def test_deep_expressions_run_through_the_cli(tmp_path, capsys, shape):
         json.loads(out)
 
 
+TINY = 2.2250738585072014e-308  # the smallest normal float
+OVERFLOWING = {
+    # (statistic (sensitivity, reference) pairs, equation, budgets, how stderr starts)
+    "at the reference": ([(1.0, 1e300), (1.0, 1.0)], "s1 * s1", [0.5, 0.5], "error: equation 'eq': "),
+    "budgets too small": ([(1.0, 1.0), (1.0, 1.0)], "s1 + s2", [TINY / 2, TINY / 2], "error: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING))
+def test_overflowing_values_are_a_computation_error(tmp_path, capsys, case):
+    statistics, expression, budgets, prefix = OVERFLOWING[case]
+    workload = _write(tmp_path, "huge.json", json.dumps({
+        "epsilon": sum(budgets),
+        "statistics": [
+            {"id": f"s{i + 1}", "sensitivity": sensitivity, "reference_value": reference}
+            for i, (sensitivity, reference) in enumerate(statistics)
+        ],
+        "equations": [{"id": "eq", "expression": expression, "sensitivity": 1.0}],
+    }))
+    budgets = _write(tmp_path, "budgets.json", json.dumps({"budgets": {"s1": budgets[0], "s2": budgets[1]}}))
+    for argv in (
+        ("score", "--allocation", budgets),
+        ("score", "--allocation", budgets, "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+        ("compare", budgets, budgets),
+        ("optimize",),
+        ("simulate", "--allocation", budgets, "--trials", "1000", "--seed", "1"),
+    ):
+        code, out, err = run(capsys, argv[0], "--workload", workload, *argv[1:])
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(prefix), argv
+
+
 # Mostly well-formed values, so that many documents get past validation to
 # score and simulate, with malformed and extreme ones mixed in.
 def _mostly(common, rare):
@@ -497,7 +538,7 @@ def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path, capsys, docume
     budgets = _write(tmp_path, "budgets.json", json.dumps({"budgets": {stat_id: share for stat_id in ids}}))
     code, out, err = run(capsys, "validate", "--workload", workload, "--allocation", budgets, "--format", "json")
     assert code in (0, 1)
-    assert json.loads(out)["valid"] is (code == 0)
+    assert strict_json(out)["valid"] is (code == 0)
     for argv in (
         ("score",),
         ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
@@ -506,3 +547,5 @@ def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path, capsys, docume
         code, out, err = run(capsys, argv[0], "--workload", workload, "--allocation", budgets, *argv[1:])
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err
+        if code == 0:
+            strict_json(out)

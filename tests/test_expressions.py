@@ -21,7 +21,7 @@ from dpbudget.expressions import (
 
 from dpbudget.propagation import gradient_at_reference
 
-from helpers import DEEP_EXPRESSIONS, random_tree
+from helpers import DEEP_EXPRESSIONS, make_workload, random_tree
 
 
 def test_parse_sum():
@@ -141,6 +141,35 @@ def test_deep_expressions_need_no_recursion(shape, names, value, gradient):
     invalid = np.zeros(4, dtype=bool)
     assert np.array_equal(evaluate_batch(tree, samples, invalid), np.full(4, value))
     assert not invalid.any()
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
+def test_deep_trees_compare_hash_and_print_without_recursion(shape):
+    text = DEEP_EXPRESSIONS[shape]
+    tree, same = parse_expression(text), parse_expression(text)
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != parse_expression(f"{text} + s1")
+    printed = repr(tree)
+    assert printed == repr(same)
+    assert printed.count("StatRef(") == text.count("s1") + text.count("s2")
+    assert printed.count("Negate(") == text.count("-")
+    stats = (("s1", 1.0, 1.0), ("s2", 1.0, 2.0))
+    assert make_workload(stats=stats, equations=(("deep", text, 1.0),)) == make_workload(
+        stats=stats, equations=(("deep", text, 1.0),)
+    )
+
+
+def test_structural_equality_hash_and_repr():
+    left_deep, right_deep = parse_expression("(s1 + s2) + s3"), parse_expression("s1 + (s2 + s3)")
+    assert left_deep != right_deep
+    assert Binary(BinaryOp.ADD, StatRef("s1"), StatRef("s2")) != Binary(BinaryOp.SUB, StatRef("s1"), StatRef("s2"))
+    assert StatRef("s1") != Constant(1.0) and Negate(StatRef("s1")) != StatRef("s1")
+    assert Constant(1) == Constant(1.0) and hash(Constant(1)) == hash(Constant(1.0))
+    assert {parse_expression("s1 * 2"), parse_expression("s1*2.0")} == {Binary(BinaryOp.MUL, StatRef("s1"), Constant(2))}
+    assert repr(parse_expression("-(s1 + 2) / x")) == (
+        "Binary(op=<BinaryOp.DIV: '/'>, left=Negate(operand=Binary(op=<BinaryOp.ADD: '+'>, "
+        "left=StatRef(name='s1'), right=Constant(value=2.0))), right=StatRef(name='x'))"
+    )
 
 
 def test_format_examples():

@@ -330,6 +330,14 @@ def test_validate_allocation_reports_keys_of_any_type():
     assert [issue.subject for issue in excinfo.value.issues] == [1, "zz", "s2"]
 
 
+def test_validate_allocation_names_huge_integer_keys_by_size():
+    with pytest.raises(ValidationError) as excinfo:
+        validate_allocation(make_workload(), {10**5000: 1.0, "s1": 0.5, "s2": 0.5})
+    assert [(issue.code, issue.message) for issue in excinfo.value.issues] == [
+        ("UnknownBudgetId", "budget for unknown statistic an integer of 16610 bits")
+    ]
+
+
 def test_load_allocation_reports_shape_and_budget_issues_together():
     workload = make_workload()
     with pytest.raises(ValidationError) as excinfo:
