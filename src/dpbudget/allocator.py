@@ -1,18 +1,14 @@
-"""Budget allocation strategies.
-
-Four routes with different trade-offs:
+"""Budget allocation strategies, all on the closed-form metric.
 
 * uniform_allocation: the neutral baseline, epsilon split evenly.
-* sqrt_rule_allocation: exact closed form when no equation couples two or
-  more statistics (the objective is then a sum of c_i / budget_i terms and
-  the minimizer puts budgets proportional to sqrt(c_i)).
-* grid_search: exhaustive enumeration on a lattice, small instances only;
-  serves as the oracle the other optimizers are checked against.
-* optimize_descent: mirror descent on the budget simplex with a monotone
-  acceptance rule; handles coupled equations.
+* sqrt_rule_allocation: the exact optimum when no equation couples two or
+  more statistics: budgets proportional to sqrt(c_i), floored.
+* grid_search: exhaustive lattice search, the oracle for small instances.
+* optimize_descent: majorize-minimize from uniform, for coupled equations.
 
-All strategies work with the closed-form estimator and return allocations
-that satisfy the sum constraint and the positivity floor.
+The square-root rule and descent share one solve (_surrogate_minimum). Each
+result satisfies the sum constraint and the floor, and reports the
+Frank-Wolfe gap, an upper bound on its metric's distance to the minimum.
 """
 
 from __future__ import annotations
@@ -20,22 +16,20 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .errors import NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
+from .errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 from .expressions import free_statistics
 from .propagation import FirstOrderModel, budget_vector
 from .scoring import score_validated
-from .workload import BudgetAllocation, MetricOptions, Workload, allocation_to_dict, validate_allocation
+from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 _GRID_MAX_STATISTICS = 5
 _GRID_MIN_RESOLUTION = 10
 _GRID_CHUNK = 1 << 18
-# Mirror-descent step size at the first iteration; halved on each rejected step.
-_DESCENT_STEP = 0.1
 
 
 @dataclass(frozen=True)
@@ -45,57 +39,99 @@ class OptimizationResult:
     iterations: int
     converged: bool
     method: str
+    gap: float
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "method": self.method,
-            "metric": self.metric,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "allocation": allocation_to_dict(self.allocation),
-        }
+        return asdict(self)
 
 
-def _analytic_model(options: MetricOptions | None, workload: Workload) -> tuple[MetricOptions, FirstOrderModel]:
-    options = options if options is not None else workload.options
-    if options.estimator != "analytic":
-        options = replace(options, estimator="analytic")
-    return options, FirstOrderModel(workload, options.normalize_by_sensitivity)
+class _Objective:
+    """The closed-form metric f(b) = sum_i c_i / b_i + sum_j sigma_j(b) / n_j under ``options``.
 
-
-def _result(
-    workload: Workload, model: FirstOrderModel, options: MetricOptions, budgets: np.ndarray, **fields
-) -> OptimizationResult:
-    """Validates the optimizer's budgets and reports them with their scored metric."""
-    allocation = validate_allocation(
-        workload, {stat_id: float(b) for stat_id, b in zip(workload.statistic_ids, budgets)}
-    )
-    metric = score_validated(model, workload, allocation, options, None).metric
-    return OptimizationResult(allocation=allocation, metric=metric, **fields)
-
-
-def _floor_and_fill(budgets: np.ndarray, epsilon: float, floor: float) -> np.ndarray:
-    """Scales to sum epsilon, then lifts entries below the floor.
-
-    Entries at the floor are fixed and the remainder is redistributed
-    proportionally; repeats until stable (at most one pass per entry).
+    sigma_j^2 = sum_i W_ji / b_i^2; one-statistic equations (sigma_j = sqrt(W_ji) / b_i) are
+    folded into c. As sigma <= sigma^2 / (2t) + t / 2, equal at t = sigma, the surrogate
+    sum_i c_i / b_i + d_i / b_i^2, d_i = sum_j W_ji / (2 sigma_j(b_k) n_j) over the coupled
+    equations, lies above f (up to a constant) and touches it at b_k.
     """
-    budgets = np.maximum(np.asarray(budgets, dtype=float), 0.0)
-    total = budgets.sum()
-    if total <= 0:
-        budgets = np.full(budgets.size, epsilon / budgets.size)
-    else:
-        budgets = budgets * (epsilon / total)
-    for _ in range(budgets.size):
-        low = budgets < floor
-        if not low.any():
-            return budgets
-        budgets = budgets.copy()
-        budgets[low] = floor
-        remainder = epsilon - floor * int(low.sum())
-        high = ~low
-        budgets[high] *= remainder / budgets[high].sum()
-    return budgets
+
+    def __init__(self, workload: Workload, options: MetricOptions | None):
+        self.options = replace(options if options is not None else workload.options, estimator="analytic")
+        self.model = model = FirstOrderModel(workload, self.options.normalize_by_sensitivity)
+        self.epsilon, self.floor = workload.epsilon, workload.min_budget
+        single = np.bincount(model.rows, minlength=model.n_eq)[model.rows] == 1
+        folded = np.sqrt(model.weights[single]) / model.norms[model.rows[single]]
+        self.c = model.us_coeff + np.bincount(model.cols[single], folded, minlength=model.us_coeff.size)
+        self.rows, self.cols, self.weights = model.rows[~single], model.cols[~single], model.weights[~single]
+
+    def evaluate(self, budgets: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(metric, Frank-Wolfe gap, b * gradient, d) at budgets b summing to epsilon.
+
+        g = -(c + 2d / b) / b^2, and b * g is finite where the metric is; a zero
+        sigma (underflowed weights) adds nothing to d. The gap, g . b less the
+        least g . s over the floored simplex, bounds f(b) - min f (f is convex):
+        sum_i (b_i - floor)(g_i - min g), taken from epsilon g against overflow.
+        """
+        model = self.model
+        statistic_part, equation_part = model.terms(budgets)
+        sigma_norm = equation_part * model.norms * model.norms
+        inverse = np.divide(0.5, sigma_norm, out=np.zeros_like(sigma_norm), where=sigma_norm > 0.0)
+        d = np.bincount(self.cols, self.weights * inverse[self.rows], minlength=budgets.size)
+        scaled = -(self.c + 2.0 * d / budgets) / budgets
+        relative = scaled * (self.epsilon / budgets)
+        gap = float(((budgets - self.floor) / self.epsilon) @ (relative - relative.min()))
+        return float(np.add.reduce(statistic_part) + np.add.reduce(equation_part)), gap, scaled, d
+
+
+def _result(workload: Workload, objective: _Objective, budgets: np.ndarray, **fields) -> OptimizationResult:
+    """Validates the optimizer's budgets and reports them with their scored metric and gap."""
+    allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
+    metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
+    with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
+        gap = objective.evaluate(budgets)[1]
+    if not math.isfinite(gap):
+        raise NonFiniteError(f"the optimality gap overflows at this allocation ({gap!r}): its budgets are too small")
+    return OptimizationResult(allocation=allocation, metric=metric, gap=gap, **fields)
+
+
+def _cubic_root(x: np.ndarray) -> np.ndarray:
+    """The root u >= sqrt(3) of u^3 - 3u = 2x, for x >= 0: 2 cos(arccos(x) / 3)
+    up to x = 1 (three real roots) and 2 cosh(arccosh(x) / 3) above (one).
+    Each form gets x clipped to its own side, where the other equals 2."""
+    return 2.0 * (np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0) + np.cosh(np.arccosh(np.maximum(x, 1.0)) / 3.0) - 1.0)
+
+
+def _surrogate_minimum(c: np.ndarray, d: np.ndarray, epsilon: float, floor: float, shift: float = 0.0):
+    """Minimizer of sum_i c_i / b_i + d_i / b_i^2 over {b >= floor, sum b = epsilon}, and its shift.
+
+    A free b_i solves mu b^3 - c_i b - 2 d_i = 0. With r the square-root rule
+    and mu = exp(shift) times r's multiplier, that root is r_i exp(-shift / 2)
+    u_i / sqrt(3), u_i solving u^3 - 3u = 2 x_i exp(shift / 2), x_i = 3 sqrt(3)
+    d_i / (c_i r_i); as u >= sqrt(3), shift >= 0. Bracketed Newton steps on
+    log(sum b) start at ``shift``, the last (within 1e-5) taken to first order;
+    shift 0 is exact when d = 0 and no floor binds. Free budgets are then
+    scaled to make the sum exact.
+    """
+    sqrt_rule = np.sqrt(c)
+    sqrt_rule *= epsilon / sqrt_rule.sum()
+    x = (3.0 * math.sqrt(3.0)) * (d / c) / sqrt_rule
+    low, high, shift = 0.0, math.inf, max(shift, 0.0)
+    for _ in range(100):  # a safeguard: Newton needs a few steps, bisection at most ~60
+        u = _cubic_root(x * math.exp(shift / 2.0))
+        roots = sqrt_rule * (math.exp(-shift / 2.0) / math.sqrt(3.0) * u)
+        total = float(np.add.reduce(np.maximum(roots, floor)))
+        excess = math.log(total / epsilon)
+        rates = roots / (3.0 / (u * u) - 3.0)  # d root / d shift
+        slope = float(np.dot(rates, roots > floor)) / total
+        step = shift - excess / slope if slope < 0.0 else math.nan
+        if excess * excess <= 1e-10 and slope < 0.0:  # its own error, O(excess^2), is negligible
+            roots += rates * (step - shift)
+            shift = step
+            break
+        low, high = (shift, high) if excess > 0.0 else (low, shift)
+        shift = step if low < step < high else 0.5 * (low + high)
+    fixed = floor * (roots.size - np.count_nonzero(roots > floor))
+    free_total = float(np.add.reduce(np.maximum(roots, floor))) - fixed
+    return np.maximum(roots * ((epsilon - fixed) / free_total), floor), shift
 
 
 def uniform_allocation(workload: Workload) -> BudgetAllocation:
@@ -108,9 +144,8 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
     """Closed-form optimum for separable workloads.
 
     Requires that no equation reference two or more statistics; the metric
-    then collapses to sum(c_i / budget_i) and the exact minimizer is
-    budget_i = epsilon * sqrt(c_i) / sum(sqrt(c_j)), floored at the
-    positivity floor.
+    is then sum(c_i / budget_i), minimized by budgets proportional to
+    sqrt(c_i), floored: the surrogate minimum with d = 0.
 
     Raises:
         NotSeparableError: some equation couples several statistics.
@@ -121,16 +156,9 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
             raise NotSeparableError(
                 f"equation {equation.id!r} couples statistics {sorted(used)}; no closed form applies"
             )
-    options, model = _analytic_model(options, workload)
-    # Every model row has at most one entry, so equation j adds
-    # sqrt(weight_j) / norm_j to its statistic's c_i.
-    coeff = model.us_coeff + np.bincount(
-        model.cols, np.sqrt(model.weights) / model.norms[model.rows], minlength=model.us_coeff.size
-    )
-    roots = np.sqrt(coeff)
-    budgets = workload.epsilon * roots / roots.sum()
-    budgets = _floor_and_fill(budgets, workload.epsilon, workload.min_budget)
-    return _result(workload, model, options, budgets, iterations=0, converged=True, method="sqrt_rule")
+    objective = _Objective(workload, options)
+    budgets, _ = _surrogate_minimum(objective.c, np.zeros(objective.c.size), workload.epsilon, workload.min_budget)
+    return _result(workload, objective, budgets, iterations=0, converged=True, method="sqrt_rule")
 
 
 @functools.lru_cache(maxsize=8)
@@ -167,7 +195,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
         raise TooManyStatisticsError(f"grid search supports at most {_GRID_MAX_STATISTICS} statistics, got {count}")
     if resolution < _GRID_MIN_RESOLUTION:
         raise ResolutionTooCoarseError(f"resolution must be at least {_GRID_MIN_RESOLUTION}, got {resolution}")
-    options, model = _analytic_model(options, workload)
+    objective = _Objective(workload, options)
     unit = workload.epsilon / resolution
     floor = workload.min_budget
     compositions = _compositions(resolution, count)
@@ -183,7 +211,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
                 budgets = budgets[feasible]
                 if budgets.size == 0:
                     continue
-        values = model.metric_batch(budgets)
+        values = objective.model.metric_batch(budgets)
         evaluated += values.size
         i = int(np.argmin(values))
         if values[i] < best_value:
@@ -191,7 +219,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
             best_row = budgets[i].copy()
     if best_row is None:
         raise ResolutionTooCoarseError("no lattice cell satisfies the positivity floor")
-    return _result(workload, model, options, best_row, iterations=evaluated, converged=True, method="grid")
+    return _result(workload, objective, best_row, iterations=evaluated, converged=True, method="grid")
 
 
 def objective_gradient(
@@ -199,52 +227,32 @@ def objective_gradient(
 ) -> dict[str, float]:
     """Exact partial derivatives of the closed-form metric per budget."""
     allocation = validate_allocation(workload, allocation)
-    _, model = _analytic_model(options, workload)
-    gradient = model.gradient(budget_vector(workload, allocation))
+    objective = _Objective(workload, options)
+    budgets = budget_vector(workload, allocation)
+    gradient = objective.evaluate(budgets)[2] / budgets
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}
 
 
 def optimize_descent(
-    workload: Workload,
-    options: MetricOptions | None = None,
-    *,
-    max_iters: int = 5000,
-    tol: float = 1e-10,
+    workload: Workload, options: MetricOptions | None = None, *, max_iters: int = 5000, tol: float = 1e-10
 ) -> OptimizationResult:
-    """Mirror descent on the budget simplex, starting from uniform.
+    """Majorize-minimize on the budget simplex, starting from uniform.
 
-    Each iteration proposes budget_i * exp(-step * gradient_i), rescaled
-    to sum epsilon and floored; the step starts at _DESCENT_STEP.
-    Proposals are accepted only when they improve the metric, otherwise
-    the step is halved. Stops when an accepted improvement falls below
-    ``tol`` (relative) or the step underflows; hitting ``max_iters`` first
-    reports converged=False with the best allocation found.
+    Stops, converged, once the Frank-Wolfe gap is at most ``tol`` times the
+    metric; else each iteration moves to the surrogate's minimum. Hitting
+    ``max_iters`` first reports converged=False. A metric or gap that is not
+    finite ends the loop, and the result then raises NonFiniteError.
     """
-    options, model = _analytic_model(options, workload)
-    epsilon = workload.epsilon
-    floor = workload.min_budget
-    count = len(workload.statistic_ids)
-    budgets = np.full(count, epsilon / count)
-    current = model.metric(budgets)
-    eta = _DESCENT_STEP
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        gradient = model.gradient(budgets)
-        exponent = -eta * gradient
-        candidate = budgets * np.exp(exponent - exponent.max())
-        candidate = _floor_and_fill(candidate, epsilon, floor)
-        value = model.metric(candidate)
-        if value < current:
-            improvement = (current - value) / current
-            budgets = candidate
-            current = value
-            if improvement < tol:
+    objective = _Objective(workload, options)
+    budgets = np.full(len(workload.statistics), workload.epsilon / len(workload.statistics))
+    shift, converged, iterations = 0.0, False, 0
+    with np.errstate(all="ignore"):  # overflow ends in a non-finite metric or gap, then NonFiniteError
+        for iterations in range(1, max_iters + 1):
+            metric, gap, _, d = objective.evaluate(budgets)
+            if not (math.isfinite(metric) and math.isfinite(gap)):
+                break
+            if gap <= tol * metric:
                 converged = True
                 break
-        else:
-            eta *= 0.5
-            if eta < 1e-18:
-                converged = True
-                break
-    return _result(workload, model, options, budgets, iterations=iterations, converged=converged, method="descent")
+            budgets, shift = _surrogate_minimum(objective.c, d, workload.epsilon, workload.min_budget, shift)
+    return _result(workload, objective, budgets, iterations=iterations, converged=converged, method="descent")

@@ -107,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("sqrt", "grid", "descent"), default="descent")
     p.add_argument("--grid-resolution", type=int, default=100, help="lattice parts for --method grid")
     p.add_argument("--max-iters", type=int, default=5000, help="iteration cap for --method descent")
-    p.add_argument("--tol", type=float, default=1e-10, help="relative improvement tolerance for --method descent")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="stop --method descent once the Frank-Wolfe gap is at most this times the metric")
     p.add_argument("--allow-nonconverged", action="store_true",
                    help="exit 0 even when descent hits the iteration cap")
     p.add_argument("--out", metavar="PATH", help="write the resulting allocation document here")
@@ -202,7 +203,10 @@ def _print_optimization(result: OptimizationResult, fmt: str):
             writer.writerow([stat_id, repr(budget)])
     else:
         state = "converged" if result.converged else "NOT converged"
-        print(f"method {result.method}: metric {result.metric:.6g} after {result.iterations} iterations ({state})")
+        print(
+            f"method {result.method}: metric {result.metric:.6g}, gap {result.gap:.3g}, "
+            f"after {result.iterations} iterations ({state})"
+        )
         for stat_id, budget in result.allocation.budgets.items():
             print(f"  {stat_id}: {budget:.6g}")
 

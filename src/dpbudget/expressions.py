@@ -17,7 +17,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .errors import DivisionNearZeroError, ExpressionParseError, MissingValueError
 
@@ -51,19 +51,28 @@ class Expr:
         return hash(_structure(self))
 
     def __repr__(self):
-        stack: list[str] = []  # repr of each finished subtree
-        for node in _postorder(self):
-            kind = type(node)
-            if kind is Binary:
-                right = stack.pop()
-                stack[-1] = f"Binary(op={node.op!r}, left={stack[-1]}, right={right})"
+        # One preorder walk that emits each node's text around its children,
+        # joined once, so the cost is linear in the size of the text.
+        pieces: list[str] = []
+        pending: list[tuple[bool, Any]] = [(False, self)]  # (is text, text or node), last first
+        while pending:
+            is_text, item = pending.pop()
+            kind = type(item)
+            if is_text:
+                pieces.append(item)
+            elif kind is Binary:
+                pieces.append(f"Binary(op={item.op!r}, left=")
+                pending += ((True, ")"), (False, item.right), (True, ", right="), (False, item.left))
             elif kind is Negate:
-                stack[-1] = f"Negate(operand={stack[-1]})"
+                pieces.append("Negate(operand=")
+                pending += ((True, ")"), (False, item.operand))
             elif kind is StatRef:
-                stack.append(f"StatRef(name={node.name!r})")
+                pieces.append(f"StatRef(name={item.name!r})")
+            elif kind is Constant:
+                pieces.append(f"Constant(value={item.value!r})")
             else:
-                stack.append(f"Constant(value={node.value!r})")
-        return stack[0]
+                raise TypeError(f"not an expression node: {item!r}")
+        return "".join(pieces)
 
 
 @dataclass(frozen=True, eq=False, repr=False)

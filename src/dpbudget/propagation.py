@@ -145,16 +145,15 @@ class FirstOrderModel:
         )
 
     def variances(self, budgets: np.ndarray) -> np.ndarray:
-        """Predicted output-noise variance of every equation."""
-        return _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
+        """Predicted output-noise variance of every equation; inf where it overflows (then NonFiniteError)."""
+        with np.errstate(over="ignore"):
+            return _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
 
     def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-statistic and per-equation scores (the report's us/ue terms)."""
-        return self.us_coeff / budgets, np.sqrt(self.variances(budgets)) / self.norms
-
-    def metric(self, budgets: np.ndarray) -> float:
-        statistic_part, equation_part = self.terms(budgets)
-        return float(statistic_part.sum() + equation_part.sum())
+        """Per-statistic and per-equation scores (the report's us/ue terms), inf as in ``variances``."""
+        with np.errstate(over="ignore"):
+            variances = _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
+            return self.us_coeff / budgets, np.sqrt(variances) / self.norms
 
     def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
         """Metric of each row, through a dense equations x statistics view;
@@ -163,15 +162,6 @@ class FirstOrderModel:
         dense[self.rows, self.cols] = self.weights
         inv = 1.0 / budget_rows
         return inv @ self.us_coeff + (np.sqrt((inv * inv) @ dense.T) / self.norms).sum(axis=1)
-
-    def gradient(self, budgets: np.ndarray) -> np.ndarray:
-        """Exact partial derivatives of the metric per budget."""
-        rmse = np.sqrt(self.variances(budgets))
-        active = rmse > 0.0
-        scale = np.zeros(self.n_eq)
-        scale[active] = 1.0 / (rmse[active] * self.norms[active])
-        equation_part = np.bincount(self.cols, self.weights * scale[self.rows], minlength=self.us_coeff.size)
-        return -self.us_coeff / (budgets * budgets) - equation_part / budgets**3
 
 
 def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarray:
@@ -299,38 +289,40 @@ def replay_montecarlo(
         if spec.id in used
     ]
     summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) for _ in expressions]
-    for start in range(0, count, CHUNK):
-        size = min(CHUNK, count - start)
-        released = {}
-        for stat_id, reference, scale, stream in streams:
-            values = sample_noise_batch(scale, stream, size)
-            values += reference
-            released[stat_id] = values
-        chunk_errors = []
-        for (_, ast), reference_output, summary in zip(expressions, reference_outputs, summaries):
-            invalid = np.zeros(size, dtype=bool)
-            errors = np.asarray(evaluate_batch(ast, released, invalid), dtype=float) - reference_output
-            if errors.ndim == 0:
-                errors = np.full(size, float(errors))
-            excluded = int(np.count_nonzero(invalid))
-            summary.add(errors[~invalid] if excluded else errors, excluded)
-            if sink is not None:
-                errors[invalid] = np.nan
-                chunk_errors.append(errors)
-        if sink is not None:
-            sink(start, chunk_errors)
+    # An overflow makes a summary non-finite (NonFiniteError below) or vanishes (1 / inf is 0).
     results = []
-    for (label, _), summary in zip(expressions, summaries):
-        if summary.excluded > HEAVY_TAIL_FRACTION * count:
-            raise HeavyTailWarning(
-                f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
-                f"(limit {HEAVY_TAIL_FRACTION:.1%})"
-            )
-        result = summary.result()
-        # Finite when no error and no sum of squared errors overflowed.
-        if not (math.isfinite(result.rmse) and math.isfinite(result.variance)):
-            raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {result.rmse!r})")
-        results.append(result)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, count, CHUNK):
+            size = min(CHUNK, count - start)
+            released = {}
+            for stat_id, reference, scale, stream in streams:
+                values = sample_noise_batch(scale, stream, size)
+                values += reference
+                released[stat_id] = values
+            chunk_errors = []
+            for (_, ast), reference_output, summary in zip(expressions, reference_outputs, summaries):
+                invalid = np.zeros(size, dtype=bool)
+                errors = np.asarray(evaluate_batch(ast, released, invalid), dtype=float) - reference_output
+                if errors.ndim == 0:
+                    errors = np.full(size, float(errors))
+                excluded = int(np.count_nonzero(invalid))
+                summary.add(errors[~invalid] if excluded else errors, excluded)
+                if sink is not None:
+                    errors[invalid] = np.nan
+                    chunk_errors.append(errors)
+            if sink is not None:
+                sink(start, chunk_errors)
+        for (label, _), summary in zip(expressions, summaries):
+            if summary.excluded > HEAVY_TAIL_FRACTION * count:
+                raise HeavyTailWarning(
+                    f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
+                    f"(limit {HEAVY_TAIL_FRACTION:.1%})"
+                )
+            result = summary.result()
+            # Finite when no error and no sum of squared errors overflowed.
+            if not (math.isfinite(result.rmse) and math.isfinite(result.variance)):
+                raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {result.rmse!r})")
+            results.append(result)
     return results
 
 

@@ -296,3 +296,94 @@ def test_model_metric_agrees_with_canonical_scorer():
         batch = model.metric_batch(np.vstack([b, b[::-1]]))
         assert batch[0] == pytest.approx(metric, rel=1e-12)
         assert batch[1] == pytest.approx(closed_form(workload, reversed_budgets)[3], rel=1e-12)
+
+
+def certificate_instances():
+    """Coupled and separable instances of at most 5 statistics, some with a binding floor."""
+    rng = random.Random(1010)
+    workloads = [paper_workload()]
+    for index in range(12):
+        nsta = rng.choice([2, 3, 4, 5])
+        workloads.append(random_instance(rng, nsta, neq=rng.choice([1, 2, 3]), normalized=index % 2 == 0))
+    workloads.append(
+        make_workload(
+            epsilon=1.0,
+            stats=(("tiny", 1.0, 0.0), ("huge", 1.0, 3.0), ("mid", 2.0, 5.0)),
+            equations=(("boost", "1000 * huge + mid", 1.0),),
+            min_budget_fraction=0.2,
+        )
+    )
+    return workloads
+
+
+def test_every_optimizer_reports_a_nonnegative_gap():
+    separable = make_workload(
+        epsilon=1.0, stats=(("s1", 1.0, 0.0), ("s2", 40.0, 0.0)), normalize_by_sensitivity=False
+    )
+    results = [sqrt_rule_allocation(separable), grid_search(separable, 50)]
+    for workload in certificate_instances():
+        results += [grid_search(workload, 30), optimize_descent(workload), optimize_descent(workload, max_iters=1)]
+    for result in results:
+        assert math.isfinite(result.gap) and result.gap >= 0.0, result
+
+
+def test_gap_bounds_the_distance_to_the_grid_optimum():
+    workloads = certificate_instances()
+    checked = 0
+    for workload in workloads:
+        # 200 parts for up to 4 statistics; 5 would take 64 million cells.
+        oracle = grid_search(workload, 200 if len(workload.statistics) <= 4 else 60)
+        candidates = [optimize_descent(workload, max_iters=k) for k in (1, 2, 3)]
+        candidates += [optimize_descent(workload), grid_search(workload, 20), oracle]
+        for result in candidates:
+            # The grid optimum is at least the true minimum, which the gap bounds.
+            assert result.gap >= result.metric - oracle.metric - 1e-12 * result.metric, (workload, result)
+            checked += 1
+    assert checked == 6 * len(workloads)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-6])
+def test_converged_descent_carries_its_certificate(tol):
+    for workload in certificate_instances():
+        result = optimize_descent(workload) if tol is None else optimize_descent(workload, tol=tol)
+        assert result.converged
+        assert result.gap <= (tol or 1e-10) * result.metric, (workload, result)  # 1e-10 is the default
+        baseline = score_allocation(workload, uniform_allocation(workload)).metric
+        assert result.metric <= baseline
+
+
+def test_descent_is_the_square_root_rule_on_separable_instances():
+    rng = random.Random(77)
+    workloads = [random_instance(rng, rng.choice([2, 3, 4, 5]), neq=0, normalized=i % 2 == 0) for i in range(6)]
+    workloads.append(
+        make_workload(
+            epsilon=2.0,
+            stats=(("a", 1.0, 10.0), ("b", 30.0, 5.0), ("c", 0.01, 1.0)),
+            equations=(("echo", "b", 3.0), ("solo", "2 * c", 0.5)),
+            normalize_by_sensitivity=False,
+            min_budget_fraction=0.1,
+        )
+    )
+    for workload in workloads:
+        closed = sqrt_rule_allocation(workload)
+        descent = optimize_descent(workload)
+        assert closed.gap <= 1e-12 * closed.metric
+        assert descent.converged and descent.iterations <= 2
+        for stat_id in workload.statistic_ids:
+            assert descent.allocation.budgets[stat_id] == pytest.approx(
+                closed.allocation.budgets[stat_id], rel=1e-12
+            )
+
+
+def test_equation_whose_weights_underflow_leaves_the_allocation_alone():
+    stats = (("s1", 1.0, 10.0), ("s2", 3.0, 5.0), ("s3", 0.5, 2.0))
+    plain = make_workload(stats=stats, normalize_by_sensitivity=False)
+    # Each weight is 2 * (1e-200)^2 = 2e-400, which is 0.0.
+    underflowed = make_workload(
+        stats=stats, equations=(("faint", "1e-200 * s1 + 1e-200 * s2", 1.0),), normalize_by_sensitivity=False
+    )
+    expected = optimize_descent(plain)
+    result = optimize_descent(underflowed)
+    assert result.converged
+    assert result.allocation.budgets == expected.allocation.budgets
+    assert result.metric == expected.metric

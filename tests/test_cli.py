@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -479,6 +480,58 @@ def test_overflowing_values_are_a_computation_error(tmp_path, capsys, case):
         code, out, err = run(capsys, argv[0], "--workload", workload, *argv[1:])
         assert (code, out) == (3, ""), argv
         assert err.startswith(prefix), argv
+
+
+_TINY_BUDGETS = ([(1.0, 1.0), (1.0, 1.0)], "s1 + s2", [TINY / 2, TINY / 2])
+OVERFLOW_RUNS = {
+    # (statistics' (sensitivity, reference) pairs, equation, budgets), subcommand and flags
+    "score, budgets too small": (_TINY_BUDGETS, ("score",)),
+    "montecarlo score, budgets too small": (
+        _TINY_BUDGETS, ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+    ),
+    "compare, budgets too small": (_TINY_BUDGETS, ("compare",)),
+    "optimize, budgets too small": (_TINY_BUDGETS, ("optimize",)),
+    "simulate, budgets too small": (_TINY_BUDGETS, ("simulate", "--trials", "1000", "--seed", "1")),
+    # s1 is in no equation, so only its replayed errors overflow (their squares).
+    "simulate, sensitivity 1e300": (
+        ([(1e300, 1.0), (1.0, 1.0)], "2 * s2", [0.5, 0.5]), ("simulate", "--trials", "1000", "--seed", "1"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOW_RUNS))
+def test_overflow_prints_only_the_error_line(tmp_path, capsys, case):
+    (statistics, expression, budgets), argv = OVERFLOW_RUNS[case]
+    workload = _write(tmp_path, "huge.json", json.dumps({
+        "epsilon": sum(budgets),
+        "statistics": [
+            {"id": f"s{i + 1}", "sensitivity": sensitivity, "reference_value": reference}
+            for i, (sensitivity, reference) in enumerate(statistics)
+        ],
+        "equations": [{"id": "eq", "expression": expression, "sensitivity": 1.0}],
+    }))
+    allocation = _write(tmp_path, "budgets.json", json.dumps({"budgets": {"s1": budgets[0], "s2": budgets[1]}}))
+    subcommand, *flags = argv
+    if subcommand == "compare":
+        flags = [allocation, allocation]
+    elif subcommand != "optimize":
+        flags = ["--allocation", allocation, *flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, subcommand, "--workload", workload, *flags)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_optimize_reports_the_gap(capsys):
+    code, out, _ = run(capsys, "optimize", "--workload", PAPER)
+    assert code == 0
+    result = json.loads(out)
+    assert 0.0 <= result["gap"] <= 1e-10 * result["metric"]
+    code, out, _ = run(capsys, "optimize", "--workload", PAPER, "--method", "grid", "--format", "text")
+    assert code == 0
+    assert ", gap " in out.splitlines()[0]
 
 
 # Mostly well-formed values, so that many documents get past validation to

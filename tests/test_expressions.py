@@ -172,6 +172,18 @@ def test_structural_equality_hash_and_repr():
     )
 
 
+def test_repr_of_a_long_sum_is_linear_text():
+    # Long enough that copying each subtree's text into its parent's would take seconds.
+    terms = 20_000
+    tree = parse_expression(" + ".join(["s1"] * terms))
+    expected = (
+        "Binary(op=<BinaryOp.ADD: '+'>, left=" * (terms - 1)
+        + "StatRef(name='s1')"
+        + ", right=StatRef(name='s1'))" * (terms - 1)
+    )
+    assert repr(tree) == expected
+
+
 def test_format_examples():
     assert format_expression(Binary(BinaryOp.ADD, StatRef("s2"), StatRef("s3"))) == "s2 + s3"
     quotient = Binary(BinaryOp.DIV, Binary(BinaryOp.ADD, StatRef("s1"), StatRef("s2")), StatRef("s4"))
@@ -221,7 +233,7 @@ def test_evaluate_batch_flags_near_zero_denominators():
 
 
 def test_walkers_reject_foreign_nodes():
-    for walk in (format_expression, free_statistics, lambda node: evaluate(node, {"s1": 1.0})):
+    for walk in (format_expression, free_statistics, repr, lambda node: evaluate(node, {"s1": 1.0})):
         with pytest.raises(TypeError):
             walk(Binary(BinaryOp.ADD, StatRef("s1"), "s2"))
 
