@@ -6,6 +6,8 @@
 * grid_search: exhaustive lattice search, the oracle for small instances.
 * optimize_descent: majorize-minimize from uniform, for coupled equations.
 
+The optimizers work in shares of epsilon, where the metric at budgets b is
+f(b / epsilon) / epsilon, so no scale of epsilon over- or underflows them.
 The square-root rule and descent share one solve (_surrogate_minimum). Each
 result satisfies the sum constraint and the floor, and reports the
 Frank-Wolfe gap, an upper bound on its metric's distance to the minimum.
@@ -30,6 +32,8 @@ from .workload import BudgetAllocation, MetricOptions, Workload, validate_alloca
 _GRID_MAX_STATISTICS = 5
 _GRID_MIN_RESOLUTION = 10
 _GRID_CHUNK = 1 << 18
+# The most lattice cells grid search enumerates (resolution 100 on 5 statistics has 3,764,376).
+_GRID_MAX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -46,48 +50,48 @@ class OptimizationResult:
 
 
 class _Objective:
-    """The closed-form metric f(b) = sum_i c_i / b_i + sum_j sigma_j(b) / n_j under ``options``.
+    """The closed-form metric under ``options`` in shares u = b / epsilon of the budget:
+    f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, and the metric at budgets b is f(b / epsilon) / epsilon.
 
-    sigma_j^2 = sum_i W_ji / b_i^2; one-statistic equations (sigma_j = sqrt(W_ji) / b_i) are
-    folded into c. As sigma <= sigma^2 / (2t) + t / 2, equal at t = sigma, the surrogate
-    sum_i c_i / b_i + d_i / b_i^2, d_i = sum_j W_ji / (2 sigma_j(b_k) n_j) over the coupled
-    equations, lies above f (up to a constant) and touches it at b_k.
+    sigma_j is the 2-norm of a_ji / u_i over the amplitudes a_ji; one-statistic equations
+    (sigma_j = a_ji / u_i) are folded into c as r = a / n. As sigma <= sigma^2 / (2t) + t / 2, equal at
+    t = sigma, the surrogate sum_i c_i / u_i + d_i / u_i^2, d_i = sum_j r_ji (r_ji / (2 ue_j(u_k))) over
+    the coupled equations (ue_j = sigma_j / n_j), lies above f (up to a constant) and touches it at u_k.
     """
 
     def __init__(self, workload: Workload, options: MetricOptions | None):
         self.options = replace(options if options is not None else workload.options, estimator="analytic")
         self.model = model = FirstOrderModel(workload, self.options.normalize_by_sensitivity)
-        self.epsilon, self.floor = workload.epsilon, workload.min_budget
+        self.floor = workload.options.min_budget_fraction
         single = np.bincount(model.rows, minlength=model.n_eq)[model.rows] == 1
-        folded = np.sqrt(model.weights[single]) / model.norms[model.rows[single]]
-        self.c = model.us_coeff + np.bincount(model.cols[single], folded, minlength=model.us_coeff.size)
-        self.rows, self.cols, self.weights = model.rows[~single], model.cols[~single], model.weights[~single]
+        with np.errstate(over="ignore"):  # an overflow makes the metric non-finite, then NonFiniteError
+            r = model.amplitudes / model.norms[model.rows]
+        self.c = model.us_coeff + np.bincount(model.cols[single], r[single], minlength=model.us_coeff.size)
+        self.rows, self.cols, self.r = model.rows[~single], model.cols[~single], r[~single]
 
-    def evaluate(self, budgets: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """(metric, Frank-Wolfe gap, b * gradient, d) at budgets b summing to epsilon.
+    def evaluate(self, shares: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """(metric, Frank-Wolfe gap, u * gradient, d) at shares u summing to 1.
 
-        g = -(c + 2d / b) / b^2, and b * g is finite where the metric is; a zero
-        sigma (underflowed weights) adds nothing to d. The gap, g . b less the
-        least g . s over the floored simplex, bounds f(b) - min f (f is convex):
-        sum_i (b_i - floor)(g_i - min g), taken from epsilon g against overflow.
+        g = -(c + 2d / u) / u^2; a zero ue (underflowed amplitudes) adds nothing
+        to d. The gap, g . u less the least g . s over the floored simplex,
+        bounds f(u) - min f (f is convex): sum_i (u_i - floor)(g_i - min g).
         """
-        model = self.model
-        statistic_part, equation_part = model.terms(budgets)
-        sigma_norm = equation_part * model.norms * model.norms
-        inverse = np.divide(0.5, sigma_norm, out=np.zeros_like(sigma_norm), where=sigma_norm > 0.0)
-        d = np.bincount(self.cols, self.weights * inverse[self.rows], minlength=budgets.size)
-        scaled = -(self.c + 2.0 * d / budgets) / budgets
-        relative = scaled * (self.epsilon / budgets)
-        gap = float(((budgets - self.floor) / self.epsilon) @ (relative - relative.min()))
+        statistic_part, equation_part = self.model.terms(shares)
+        half = np.divide(0.5, equation_part, out=np.zeros_like(equation_part), where=equation_part > 0.0)
+        d = np.bincount(self.cols, self.r * (self.r * half[self.rows]), minlength=shares.size)
+        scaled = -(self.c + 2.0 * d / shares) / shares
+        gradient = scaled / shares
+        gap = float((shares - self.floor) @ (gradient - gradient.min()))
         return float(np.add.reduce(statistic_part) + np.add.reduce(equation_part)), gap, scaled, d
 
 
-def _result(workload: Workload, objective: _Objective, budgets: np.ndarray, **fields) -> OptimizationResult:
-    """Validates the optimizer's budgets and reports them with their scored metric and gap."""
+def _result(workload: Workload, objective: _Objective, shares: np.ndarray, **fields) -> OptimizationResult:
+    """Reports the optimizer's shares of epsilon as validated budgets, with their scored metric and gap."""
+    budgets = shares * workload.epsilon
     allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
     metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
     with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
-        gap = objective.evaluate(budgets)[1]
+        gap = objective.evaluate(shares)[1] / workload.epsilon
     if not math.isfinite(gap):
         raise NonFiniteError(f"the optimality gap overflows at this allocation ({gap!r}): its budgets are too small")
     return OptimizationResult(allocation=allocation, metric=metric, gap=gap, **fields)
@@ -100,8 +104,8 @@ def _cubic_root(x: np.ndarray) -> np.ndarray:
     return 2.0 * (np.cos(np.arccos(np.minimum(x, 1.0)) / 3.0) + np.cosh(np.arccosh(np.maximum(x, 1.0)) / 3.0) - 1.0)
 
 
-def _surrogate_minimum(c: np.ndarray, d: np.ndarray, epsilon: float, floor: float, shift: float = 0.0):
-    """Minimizer of sum_i c_i / b_i + d_i / b_i^2 over {b >= floor, sum b = epsilon}, and its shift.
+def _surrogate_minimum(c: np.ndarray, d: np.ndarray, floor: float, shift: float = 0.0):
+    """Minimizer of sum_i c_i / b_i + d_i / b_i^2 over shares {b >= floor, sum b = 1}, and its shift.
 
     A free b_i solves mu b^3 - c_i b - 2 d_i = 0. With r the square-root rule
     and mu = exp(shift) times r's multiplier, that root is r_i exp(-shift / 2)
@@ -112,14 +116,14 @@ def _surrogate_minimum(c: np.ndarray, d: np.ndarray, epsilon: float, floor: floa
     scaled to make the sum exact.
     """
     sqrt_rule = np.sqrt(c)
-    sqrt_rule *= epsilon / sqrt_rule.sum()
+    sqrt_rule /= sqrt_rule.sum()
     x = (3.0 * math.sqrt(3.0)) * (d / c) / sqrt_rule
     low, high, shift = 0.0, math.inf, max(shift, 0.0)
     for _ in range(100):  # a safeguard: Newton needs a few steps, bisection at most ~60
         u = _cubic_root(x * math.exp(shift / 2.0))
         roots = sqrt_rule * (math.exp(-shift / 2.0) / math.sqrt(3.0) * u)
         total = float(np.add.reduce(np.maximum(roots, floor)))
-        excess = math.log(total / epsilon)
+        excess = math.log(total)
         rates = roots / (3.0 / (u * u) - 3.0)  # d root / d shift
         slope = float(np.dot(rates, roots > floor)) / total
         step = shift - excess / slope if slope < 0.0 else math.nan
@@ -131,7 +135,7 @@ def _surrogate_minimum(c: np.ndarray, d: np.ndarray, epsilon: float, floor: floa
         shift = step if low < step < high else 0.5 * (low + high)
     fixed = floor * (roots.size - np.count_nonzero(roots > floor))
     free_total = float(np.add.reduce(np.maximum(roots, floor))) - fixed
-    return np.maximum(roots * ((epsilon - fixed) / free_total), floor), shift
+    return np.maximum(roots * ((1.0 - fixed) / free_total), floor), shift
 
 
 def uniform_allocation(workload: Workload) -> BudgetAllocation:
@@ -157,8 +161,8 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
                 f"equation {equation.id!r} couples statistics {sorted(used)}; no closed form applies"
             )
     objective = _Objective(workload, options)
-    budgets, _ = _surrogate_minimum(objective.c, np.zeros(objective.c.size), workload.epsilon, workload.min_budget)
-    return _result(workload, objective, budgets, iterations=0, converged=True, method="sqrt_rule")
+    shares, _ = _surrogate_minimum(objective.c, np.zeros(objective.c.size), objective.floor)
+    return _result(workload, objective, shares, iterations=0, converged=True, method="sqrt_rule")
 
 
 @functools.lru_cache(maxsize=8)
@@ -187,36 +191,44 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
     budget vector. Intended as an oracle for small instances.
 
     Raises:
-        TooManyStatisticsError: more than 5 statistics.
+        TooManyStatisticsError: more than 5 statistics, or more than 2^22 cells.
         ResolutionTooCoarseError: resolution below 10.
+        NonFiniteError: the metric overflows at every cell.
     """
     count = len(workload.statistics)
     if count > _GRID_MAX_STATISTICS:
         raise TooManyStatisticsError(f"grid search supports at most {_GRID_MAX_STATISTICS} statistics, got {count}")
     if resolution < _GRID_MIN_RESOLUTION:
         raise ResolutionTooCoarseError(f"resolution must be at least {_GRID_MIN_RESOLUTION}, got {resolution}")
+    cells = math.comb(resolution - 1, count - 1)
+    if cells > _GRID_MAX_CELLS:
+        shown = cells if cells < 1e18 else f"about 1e{math.log10(cells):.0f}"  # str() refuses huge ints
+        raise TooManyStatisticsError(
+            f"resolution {resolution} needs {shown} lattice cells, over the cap of {_GRID_MAX_CELLS}"
+        )
     objective = _Objective(workload, options)
-    unit = workload.epsilon / resolution
-    floor = workload.min_budget
+    unit, floor = 1.0 / resolution, objective.floor
     compositions = _compositions(resolution, count)
     best_value = math.inf
     best_row: np.ndarray | None = None
     evaluated = 0
     for start in range(0, compositions.shape[0], _GRID_CHUNK):
         chunk = compositions[start : start + _GRID_CHUNK]
-        budgets = chunk * unit
+        shares = chunk * unit
         if floor > unit:
-            feasible = (budgets >= floor).all(axis=1)
+            feasible = (shares >= floor).all(axis=1)
             if not feasible.all():
-                budgets = budgets[feasible]
-                if budgets.size == 0:
+                shares = shares[feasible]
+                if shares.size == 0:
                     continue
-        values = objective.model.metric_batch(budgets)
+        values = objective.model.metric_batch(shares)
         evaluated += values.size
         i = int(np.argmin(values))
         if values[i] < best_value:
             best_value = float(values[i])
-            best_row = budgets[i].copy()
+            best_row = shares[i].copy()
+    if best_row is None and evaluated:
+        raise NonFiniteError("the metric overflows at every lattice cell")
     if best_row is None:
         raise ResolutionTooCoarseError("no lattice cell satisfies the positivity floor")
     return _result(workload, objective, best_row, iterations=evaluated, converged=True, method="grid")
@@ -225,11 +237,14 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
 def objective_gradient(
     workload: Workload, allocation: BudgetAllocation, options: MetricOptions | None = None
 ) -> dict[str, float]:
-    """Exact partial derivatives of the closed-form metric per budget."""
+    """Exact partial derivatives of the closed-form metric per budget; NonFiniteError if one overflows."""
     allocation = validate_allocation(workload, allocation)
     objective = _Objective(workload, options)
     budgets = budget_vector(workload, allocation)
-    gradient = objective.evaluate(budgets)[2] / budgets
+    with np.errstate(all="ignore"):  # overflow gives a non-finite partial, refused below; b * epsilon may overflow
+        gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / workload.epsilon
+    if not np.isfinite(gradient).all():
+        raise NonFiniteError("the metric's gradient overflows at this allocation: its budgets are too small")
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}
 
 
@@ -244,15 +259,15 @@ def optimize_descent(
     finite ends the loop, and the result then raises NonFiniteError.
     """
     objective = _Objective(workload, options)
-    budgets = np.full(len(workload.statistics), workload.epsilon / len(workload.statistics))
+    shares = np.full(len(workload.statistics), 1.0 / len(workload.statistics))
     shift, converged, iterations = 0.0, False, 0
     with np.errstate(all="ignore"):  # overflow ends in a non-finite metric or gap, then NonFiniteError
         for iterations in range(1, max_iters + 1):
-            metric, gap, _, d = objective.evaluate(budgets)
+            metric, gap, _, d = objective.evaluate(shares)
             if not (math.isfinite(metric) and math.isfinite(gap)):
                 break
             if gap <= tol * metric:
                 converged = True
                 break
-            budgets, shift = _surrogate_minimum(objective.c, d, workload.epsilon, workload.min_budget, shift)
-    return _result(workload, objective, budgets, iterations=iterations, converged=converged, method="descent")
+            shares, shift = _surrogate_minimum(objective.c, d, objective.floor, shift)
+    return _result(workload, objective, shares, iterations=iterations, converged=converged, method="descent")

@@ -72,7 +72,7 @@ class DivisionNearZeroError(DPBudgetError):
 
 
 class NonFiniteError(DPBudgetError):
-    """A value, weight or score overflowed floating point (or is NaN); the inputs' magnitudes are too large."""
+    """A value, amplitude or score overflows floating point (or is NaN); the inputs' magnitudes are too large."""
 
 
 class HeavyTailWarning(DPBudgetError):

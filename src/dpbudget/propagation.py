@@ -82,6 +82,11 @@ def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, flo
         DivisionNearZeroError: a denominator magnitude at the reference
             point falls below DIVISION_GUARD.
     """
+    return _value_and_partials(ast, refs)[1]
+
+
+def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, dict[str, float]]:
+    """The expression's value at the reference point and its partials, from one postorder walk."""
     stack: list[tuple[float, dict[str, float]]] = []  # (value, partials) of each finished subtree
     for node in _postorder(ast):
         kind = type(node)
@@ -110,58 +115,51 @@ def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, flo
             stack.append((float(value), {node.name: 1.0}))
         else:
             stack.append((node.value, {}))
-    return stack[0][1]
+    return stack[0]
 
 
 class FirstOrderModel:
     """Sparse first-order (closed-form) metric of a workload over budget vectors.
 
     Built once per public call from one gradient per equation. For every
-    nonzero partial g of equation j in statistic i it stores the row j,
-    the column i and the weight 2 * g^2 * sensitivity_i^2, so equation j's
-    predicted variance at budgets b is the row sum of weight / b_i^2. Cost
-    is linear in the Jacobian's nonzeros. Budget vectors are indexed in
-    workload-statistic order and are not validated here. A weight that
-    overflows (or is NaN) raises NonFiniteError naming its equation.
+    nonzero partial g of equation j in statistic i it stores the row j, the
+    column i and the amplitude sqrt(2) * |g| * sensitivity_i, so equation j's
+    predicted rmse at budgets b is the 2-norm of amplitude / b_i over its
+    row (``_row_norms``). Cost is linear in the Jacobian's nonzeros. Budget
+    vectors are indexed in workload-statistic order and are not validated. An
+    equation's value at the reference values or amplitude that overflows (or
+    is NaN) raises NonFiniteError naming the equation.
     """
 
     def __init__(self, workload: Workload, normalize: bool):
         sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
         self.us_coeff = np.full(sens.size, _SQRT2) if normalize else _SQRT2 * sens
-        self.rows, self.cols, self.weights = _jacobian_weights(
-            workload, [equation.expression for equation in workload.equations]
+        expressions = [equation.expression for equation in workload.equations]
+        self.rows, self.cols, self.amplitudes, self.starts = _jacobian_amplitudes(
+            workload, expressions, lambda row: f"equation {workload.equations[row].id!r}"
         )
-        overflowed = np.flatnonzero(~np.isfinite(self.weights))
-        if overflowed.size:
-            entry = overflowed[0]
-            equation, spec = workload.equations[self.rows[entry]], workload.statistics[self.cols[entry]]
-            raise NonFiniteError(
-                f"equation {equation.id!r}: its first-order weight in statistic {spec.id!r} "
-                f"is {float(self.weights[entry])!r} at the reference values"
-            )
         self.n_eq = len(workload.equations)
         self.norms = np.array(
             [equation.sensitivity if normalize else 1.0 for equation in workload.equations], dtype=float
         )
 
-    def variances(self, budgets: np.ndarray) -> np.ndarray:
-        """Predicted output-noise variance of every equation; inf where it overflows (then NonFiniteError)."""
-        with np.errstate(over="ignore"):
-            return _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
-
     def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-statistic and per-equation scores (the report's us/ue terms), inf as in ``variances``."""
+        """Per-statistic and per-equation scores (the report's us/ue terms) at a budget vector,
+        or at a batch with statistics on the last axis; inf where one overflows (then NonFiniteError)."""
         with np.errstate(over="ignore"):
-            variances = _variances(self.rows, self.weights, budgets[self.cols], self.n_eq)
-            return self.us_coeff / budgets, np.sqrt(variances) / self.norms
+            # In place, and each temporary dropped before the next: a grid batch is large.
+            ratios = budgets[..., self.cols]
+            np.divide(self.amplitudes, ratios, out=ratios)
+            rmse = _row_norms(ratios, self.rows, self.starts, self.n_eq)
+            del ratios
+            rmse /= self.norms
+            return self.us_coeff / budgets, rmse
 
     def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
-        """Metric of each row, through a dense equations x statistics view;
-        meant for few statistics."""
-        dense = np.zeros((self.n_eq, self.us_coeff.size))
-        dense[self.rows, self.cols] = self.weights
-        inv = 1.0 / budget_rows
-        return inv @ self.us_coeff + (np.sqrt((inv * inv) @ dense.T) / self.norms).sum(axis=1)
+        """Metric of each row of a batch of budget vectors; inf where it overflows."""
+        statistic_part, equation_part = self.terms(budget_rows)
+        with np.errstate(over="ignore"):
+            return statistic_part.sum(axis=-1) + equation_part.sum(axis=-1)
 
 
 def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarray:
@@ -169,33 +167,52 @@ def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarra
     return np.array([allocation.budgets[stat_id] for stat_id in workload.statistic_ids], dtype=float)
 
 
-def _jacobian_weights(workload: Workload, expressions: list[Expr]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (row, column, 2 * g^2 * sensitivity^2) arrays of the nonzero partials.
+def _jacobian_amplitudes(
+    workload: Workload, expressions: list[Expr], label: Callable[[int], str]
+) -> tuple[np.ndarray, ...]:
+    """Flat (row, column, sqrt(2) * |g| * sensitivity) arrays of the nonzero partials, and where each row starts.
 
     Entries run by expression, then by statistic index. The gradient dict's
     own order follows set iteration and so varies between processes; the
-    fixed order keeps every sum, and so every report, byte-identical.
+    fixed order keeps every sum, and so every report, byte-identical. A value
+    at the reference values or an amplitude that is not finite raises
+    NonFiniteError naming the expression by ``label(row)``.
     """
     refs = workload.reference_values()
     index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
     rows: list[int] = []
     cols: list[int] = []
-    weights: list[float] = []
+    amplitudes: list[float] = []
     for row, ast in enumerate(expressions):
-        gradient = gradient_at_reference(ast, refs)
+        value, gradient = _value_and_partials(ast, refs)
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{label(row)}: its value at the reference values is {value!r}")
         for col, g in sorted((index_of[name], g) for name, g in gradient.items() if g != 0.0):
-            s = workload.statistics[col].sensitivity
             rows.append(row)
             cols.append(col)
-            weights.append(2.0 * g * g * s * s)
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(weights, dtype=float)
+            amplitudes.append(_SQRT2 * abs(g) * workload.statistics[col].sensitivity)
+    amplitude_array = np.array(amplitudes, dtype=float)
+    overflowed = np.flatnonzero(~np.isfinite(amplitude_array))
+    if overflowed.size:
+        entry = overflowed[0]
+        raise NonFiniteError(
+            f"{label(rows[entry])}: its first-order amplitude in statistic "
+            f"{workload.statistics[cols[entry]].id!r} is {amplitudes[entry]!r} at the reference values"
+        )
+    row_array = np.array(rows, dtype=np.intp)
+    return row_array, np.array(cols, dtype=np.intp), amplitude_array, np.flatnonzero(np.diff(row_array, prepend=-1))
 
 
-def _variances(rows: np.ndarray, weights: np.ndarray, entry_budgets: np.ndarray, n_rows: int) -> np.ndarray:
-    """The closed form: per row, the sum of weight / budget^2 over its entries,
-    where ``entry_budgets`` holds each entry's statistic budget."""
-    inv = 1.0 / entry_budgets
-    return np.bincount(rows, weights * (inv * inv), minlength=n_rows)
+def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows: int) -> np.ndarray:
+    """The closed form: each row's predicted rmse, the 2-norm of the a / b ``ratios`` of its entries
+    (on the last axis, one budget vector or a batch), 0 for a row without entries. hypot never
+    squares an unscaled magnitude (a robust norm, as in Blue 1978), so only a true overflow is inf."""
+    norms = np.hypot.reduceat(ratios, starts, axis=-1)
+    if starts.size == n_rows:
+        return norms
+    full = np.zeros(ratios.shape[:-1] + (n_rows,))
+    full[..., rows[starts]] = norms
+    return full
 
 
 def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: BudgetAllocation) -> PropagationResult:
@@ -207,13 +224,17 @@ def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: Budge
     For a quotient it is reliable only when the denominator's reference
     value is many noise standard deviations from zero; near 3.5 of them
     the true variance is infinite and this prediction understates it.
+    A value at the reference values or a variance that overflows is NonFiniteError.
     """
     allocation = validate_allocation(workload, allocation)
-    rows, cols, weights = _jacobian_weights(workload, [ast])
+    rows, cols, amplitudes, starts = _jacobian_amplitudes(workload, [ast], lambda row: "expression")
     ids = workload.statistic_ids
     entry_budgets = np.array([allocation.budgets[ids[col]] for col in cols.tolist()], dtype=float)
-    variance = float(_variances(rows, weights, entry_budgets, 1)[0])
-    return PropagationResult(variance=variance, rmse=math.sqrt(variance), method="analytic")
+    with np.errstate(over="ignore"):
+        rmse = float(_row_norms(amplitudes / entry_budgets, rows, starts, 1)[0])
+    if not math.isfinite(rmse * rmse):
+        raise NonFiniteError(f"the predicted variance overflows at this allocation ({rmse * rmse!r})")
+    return PropagationResult(variance=rmse * rmse, rmse=rmse, method="analytic")
 
 
 def propagate_variance_montecarlo(

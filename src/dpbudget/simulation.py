@@ -3,7 +3,6 @@ empirical errors against the closed-form predictions."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -13,8 +12,6 @@ from .errors import NonFiniteError
 from .expressions import StatRef
 from .propagation import FirstOrderModel, budget_vector, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
-
-_SQRT2 = math.sqrt(2.0)
 
 # Below this many trials the rmse fields are reported but flagged unreliable.
 RELIABLE_TRIALS = 1000
@@ -100,11 +97,10 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     allocation = validate_allocation(workload, allocation)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
-    budgets = budget_vector(workload, allocation)
-    model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
-    predicted = np.sqrt(model.variances(budgets)).tolist()
-    if not all(map(math.isfinite, predicted)):
-        raise NonFiniteError("a predicted equation rmse overflows at this allocation: its budgets are too small")
+    # Unnormalized scores are the predicted rmse: sqrt(2) * sensitivity / budget per statistic.
+    statistic_part, equation_part = FirstOrderModel(workload, False).terms(budget_vector(workload, allocation))
+    if not (np.isfinite(statistic_part).all() and np.isfinite(equation_part).all()):
+        raise NonFiniteError("a predicted rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the
     # bare-reference expression over it yields.
     expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]
@@ -112,10 +108,8 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     results = replay_montecarlo(workload, allocation, expressions, trials, seed, sink)
     n_stat = len(workload.statistics)
     per_statistic = {
-        spec.id: StatisticErrorSummary(
-            empirical_rmse=result.rmse, predicted_rmse=_SQRT2 * (spec.sensitivity / budget)
-        )
-        for spec, result, budget in zip(workload.statistics, results, budgets.tolist())
+        spec.id: StatisticErrorSummary(empirical_rmse=result.rmse, predicted_rmse=predicted_rmse)
+        for spec, result, predicted_rmse in zip(workload.statistics, results, statistic_part.tolist())
     }
     per_equation = {
         equation.id: EquationErrorSummary(
@@ -124,7 +118,7 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
             bias=result.mc_detail.bias_estimate,
             predicted_rmse=predicted_rmse,
         )
-        for equation, result, predicted_rmse in zip(workload.equations, results[n_stat:], predicted)
+        for equation, result, predicted_rmse in zip(workload.equations, results[n_stat:], equation_part.tolist())
     }
     return SimulationReport(
         trials=trials,

@@ -1,5 +1,8 @@
+import dataclasses
+import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from dpbudget import (
     validate_allocation,
 )
 from dpbudget.propagation import FirstOrderModel, budget_vector
-from dpbudget.errors import NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
+from dpbudget.errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 
 from helpers import allocation, make_workload, paper_workload, random_allocation, random_instance
 
@@ -387,3 +390,93 @@ def test_equation_whose_weights_underflow_leaves_the_allocation_alone():
     assert result.converged
     assert result.allocation.budgets == expected.allocation.budgets
     assert result.metric == expected.metric
+
+
+TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
+def _scale_cases():
+    coupled = make_workload(
+        stats=(("s1", 1.0, 1.0), ("s2", 1.0, 1.0)), equations=(("eq", "s1 + s2 * 4", 1.0),)
+    )
+    separable = make_workload(
+        stats=(("a", 1.0, 0.0), ("b", 40.0, 0.0), ("c", 3.0, 1.0)),
+        equations=(("solo", "2 * c", 1.0),),
+        normalize_by_sensitivity=False,
+    )
+    grid = functools.partial(grid_search, resolution=40)
+    return [
+        (optimize_descent, coupled), (optimize_descent, paper_workload()), (grid, coupled),
+        (grid, paper_workload()), (sqrt_rule_allocation, separable),
+    ]
+
+
+@pytest.mark.parametrize("k", [1e-300, 1e300])
+def test_optimizers_at_extreme_epsilon_scale_the_epsilon_one_result(k):
+    # Squaring 1 / b once made the equation terms vanish at epsilon 1e300, and descent
+    # stopped at the uniform split.
+    for optimize, workload in _scale_cases():
+        base = optimize(workload)
+        scaled = optimize(dataclasses.replace(workload, epsilon=k))
+        assert (scaled.method, scaled.converged, scaled.iterations) == (base.method, True, base.iterations)
+        assert scaled.metric == pytest.approx(base.metric / k, rel=1e-12)
+        for stat_id, budget in base.allocation.budgets.items():
+            assert scaled.allocation.budgets[stat_id] == pytest.approx(k * budget, rel=1e-12)
+
+
+def test_huge_sensitivity_scores_its_normalized_value():
+    # Its squared first-order weight, 2 * (1e200)^2, overflowed; the amplitude does not.
+    workload = make_workload(stats=(("s1", 1e200, 1.0),), equations=(("eq", "s1", 1e200),))
+    results = [
+        score_allocation(workload, allocation(workload, 1.0)), optimize_descent(workload), grid_search(workload, 10)
+    ]
+    for result in results:
+        assert result.metric == pytest.approx(2.0 * SQRT2, rel=1e-15)
+
+
+def test_grid_skips_cells_whose_metric_overflows():
+    # Amplitudes near the largest float: the cells that starve s1 overflow, the others do not.
+    workload = make_workload(
+        stats=(("s1", 1e307, 1.0), ("s2", 1.0, 1.0)),
+        equations=(("eq", "s1 + s2", 1.0),),
+        normalize_by_sensitivity=False,
+    )
+    result = grid_search(workload, 100)
+    assert math.isfinite(result.metric)
+    assert result.metric == score_allocation(workload, result.allocation).metric
+
+
+@pytest.mark.parametrize("k", [1e-150, 1e150])
+def test_objective_gradient_scales_as_one_over_epsilon_squared(k):
+    workload = paper_workload()
+    base = objective_gradient(workload, allocation(workload, 0.1, 0.3, 0.35, 0.25))
+    scaled_workload = dataclasses.replace(workload, epsilon=k)
+    scaled = objective_gradient(scaled_workload, allocation(scaled_workload, 0.1 * k, 0.3 * k, 0.35 * k, 0.25 * k))
+    for stat_id, g in base.items():
+        assert scaled[stat_id] == pytest.approx(g / k / k, rel=1e-12)
+
+
+def test_overflowing_analytic_paths_raise_instead_of_warning():
+    workload = make_workload(
+        epsilon=TINY, stats=(("s1", 1.0, 1.0), ("s2", 1.0, 1.0)), equations=(("eq", "s1 + s2", 1.0),)
+    )
+    alloc = allocation(workload, TINY / 2, TINY / 2)
+    with pytest.raises(NonFiniteError, match="variance overflows"):
+        propagate_variance_analytic(workload.equations[0].expression, workload, alloc)
+    with pytest.raises(NonFiniteError, match="gradient overflows"):
+        objective_gradient(workload, alloc)
+    with pytest.raises(NonFiniteError, match="the metric overflows"):
+        grid_search(workload, 10)
+    one = make_workload(epsilon=4e-193, stats=(("s1", 1.0, 1.0),), equations=(("eq", "s1", 1.0),))
+    assert grid_search(one, 10).metric == pytest.approx(2.0 * SQRT2 / 4e-193, rel=1e-15)
+
+
+def test_grid_refuses_a_lattice_over_its_cap_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyStatisticsError, match="needs 4491005499 lattice cells, over the cap of 4194304"):
+            grid_search(paper_workload(), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -491,6 +491,7 @@ OVERFLOW_RUNS = {
     ),
     "compare, budgets too small": (_TINY_BUDGETS, ("compare",)),
     "optimize, budgets too small": (_TINY_BUDGETS, ("optimize",)),
+    "optimize grid, budgets too small": (_TINY_BUDGETS, ("optimize", "--method", "grid")),
     "simulate, budgets too small": (_TINY_BUDGETS, ("simulate", "--trials", "1000", "--seed", "1")),
     # s1 is in no equation, so only its replayed errors overflow (their squares).
     "simulate, sensitivity 1e300": (
@@ -534,6 +535,12 @@ def test_optimize_reports_the_gap(capsys):
     assert ", gap " in out.splitlines()[0]
 
 
+def test_grid_over_its_cell_cap_is_refused(capsys):
+    code, out, err = run(capsys, "optimize", "--workload", PAPER, "--method", "grid", "--grid-resolution", "3000")
+    assert (code, out) == (3, "")
+    assert err == "error: resolution 3000 needs 4491005499 lattice cells, over the cap of 4194304\n"
+
+
 # Mostly well-formed values, so that many documents get past validation to
 # score and simulate, with malformed and extreme ones mixed in.
 def _mostly(common, rare):
@@ -543,7 +550,8 @@ def _mostly(common, rare):
 
 _anything = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3))
 _numbers = _mostly(
-    st.floats(min_value=0.1, max_value=50.0), st.one_of(st.sampled_from([0, 1e-13, 1e300, 10**400]), _anything)
+    st.floats(min_value=0.1, max_value=50.0),
+    st.one_of(st.sampled_from([0, 1e-300, 1e-13, 1e200, 1e300, 10**400]), _anything),
 )
 _references = _mostly(st.floats(min_value=-50.0, max_value=50.0), st.one_of(st.sampled_from([1e-13, 1e300]), _anything))
 _arithmetic = st.recursive(
@@ -593,11 +601,13 @@ def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path, capsys, docume
     assert code in (0, 1)
     assert strict_json(out)["valid"] is (code == 0)
     for argv in (
-        ("score",),
-        ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
-        ("simulate", "--trials", "200", "--seed", "1"),
+        ("score", "--allocation", budgets),
+        ("score", "--allocation", budgets, "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+        ("simulate", "--allocation", budgets, "--trials", "200", "--seed", "1"),
+        ("optimize",),
+        ("optimize", "--method", "grid", "--grid-resolution", "30"),
     ):
-        code, out, err = run(capsys, argv[0], "--workload", workload, "--allocation", budgets, *argv[1:])
+        code, out, err = run(capsys, argv[0], "--workload", workload, *argv[1:])
         assert code in (0, 1, 2, 3), argv
         assert "Traceback" not in err
         if code == 0:

@@ -100,7 +100,7 @@ def test_budget_scaling_law():
     workload = paper_workload()
     alloc = allocation(workload, 0.1, 0.3, 0.35, 0.25)
     base = score_allocation(workload, alloc).metric
-    for k in (2.0, 10.0, 100.0):
+    for k in (2.0, 10.0, 100.0, 1e-300, 1e300):
         scaled_workload = make_workload(
             epsilon=k,
             stats=(("s1", 1.0, 10.0), ("s2", 1.0, 20.0), ("s3", 1.0, 7.0), ("s4", 1.0, 100.0)),
