@@ -15,11 +15,10 @@ Frank-Wolfe gap, an upper bound on its metric's distance to the minimum.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -165,21 +164,27 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
     return _result(workload, objective, shares, iterations=0, converged=True, method="sqrt_rule")
 
 
-@functools.lru_cache(maxsize=8)
-def _compositions(total: int, parts: int) -> np.ndarray:
+def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
     """All ways to write ``total`` as ``parts`` positive integers, in
-    lexicographic order. Cached; callers must not mutate the result."""
+    lexicographic order, _GRID_CHUNK rows at a time: memory is one chunk's,
+    not the lattice's."""
     if parts == 1:
-        return np.array([[total]], dtype=np.int64)
+        yield np.array([[total]], dtype=np.int64)
+        return
     cuts_per_row = parts - 1
-    count = math.comb(total - 1, cuts_per_row)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(1, total), cuts_per_row)),
-        dtype=np.int64,
-        count=count * cuts_per_row,
-    )
-    cuts = flat.reshape(count, cuts_per_row)
-    return np.concatenate([cuts[:, :1], np.diff(cuts, axis=1), total - cuts[:, -1:]], axis=1)
+    remaining = math.comb(total - 1, cuts_per_row)
+    combinations = itertools.combinations(range(1, total), cuts_per_row)
+    while remaining:
+        count = min(remaining, _GRID_CHUNK)
+        remaining -= count
+        cuts = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combinations, count)),
+            dtype=np.int64,
+            count=count * cuts_per_row,
+        ).reshape(count, cuts_per_row)
+        chunk = np.concatenate([cuts[:, :1], np.diff(cuts, axis=1), total - cuts[:, -1:]], axis=1)
+        del cuts  # not held while the caller scores the chunk
+        yield chunk
 
 
 def grid_search(workload: Workload, resolution: int, options: MetricOptions | None = None) -> OptimizationResult:
@@ -208,12 +213,10 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
         )
     objective = _Objective(workload, options)
     unit, floor = 1.0 / resolution, objective.floor
-    compositions = _compositions(resolution, count)
     best_value = math.inf
     best_row: np.ndarray | None = None
     evaluated = 0
-    for start in range(0, compositions.shape[0], _GRID_CHUNK):
-        chunk = compositions[start : start + _GRID_CHUNK]
+    for chunk in _compositions(resolution, count):
         shares = chunk * unit
         if floor > unit:
             feasible = (shares >= floor).all(axis=1)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .workload import BudgetAllocation, Workload, validate_allocation
+from .errors import ValidationIssue
+from .workload import BudgetAllocation, Workload, _check_number, validate_allocation
 
 _UINT64_MASK = (1 << 64) - 1
 # Largest |u| fed to the inverse CDF; keeps log1p(-2|u|) finite.
@@ -34,11 +35,17 @@ class NoiseProfile:
 
 
 def noise_profile(sensitivity: float, budget: float) -> NoiseProfile:
-    """Characterizes the noise a statistic receives under a given budget."""
-    if not sensitivity > 0:
-        raise ValueError(f"NonPositiveSensitivity: sensitivity must be positive, got {sensitivity!r}")
-    if not budget > 0:
-        raise ValueError(f"NonPositiveBudget: budget must be positive, got {budget!r}")
+    """Characterizes the noise a statistic receives under a given budget.
+
+    Raises ValueError naming each argument that a workload or an allocation
+    would refuse, with the same codes and messages (MalformedDocument,
+    NonPositiveSensitivity, NonPositiveBudget).
+    """
+    issues: list[ValidationIssue] = []
+    _check_number(issues, sensitivity, "sensitivity", nonpositive_code="NonPositiveSensitivity")
+    _check_number(issues, budget, "budget", nonpositive_code="NonPositiveBudget")
+    if issues:
+        raise ValueError("; ".join(str(issue) for issue in issues))
     scale = sensitivity / budget
     return NoiseProfile(scale=scale, variance=2.0 * scale * scale, expected_abs=scale)
 

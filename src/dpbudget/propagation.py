@@ -256,10 +256,14 @@ def propagate_variance_montecarlo(
         HeavyTailWarning: too many excluded samples.
         DivisionNearZeroError: the expression is degenerate at the
             reference point itself.
+        NonFiniteError: an error, or the variance of the errors, overflows.
     """
     allocation = validate_allocation(workload, allocation)
     check_mc_samples(samples)
-    return replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed)[0]
+    result = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [True])[0]
+    if not math.isfinite(result.variance):
+        raise NonFiniteError(f"expression: its Monte Carlo variance overflows ({result.variance!r})")
+    return result
 
 
 def check_mc_samples(samples: int) -> None:
@@ -273,8 +277,9 @@ def replay_montecarlo(
     expressions: Sequence[tuple[str, Expr]],
     count: int,
     seed: int,
+    full: Sequence[bool],
     sink: Callable[[int, list[np.ndarray]], None] | None = None,
-) -> list[PropagationResult]:
+) -> list[PropagationResult | float]:
     """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
 
     ``expressions`` holds (label, tree) pairs; the label names an
@@ -289,12 +294,20 @@ def replay_montecarlo(
     byte-identical. ``sink``, if given, receives each chunk's start index
     and per-expression errors, with NaN at excluded samples.
 
+    ``full[i]`` sizes expression i's summary to what its caller reports.
+    False keeps only the sum of squared errors (_SquareSum), and the
+    result is the rmse, a float. True keeps the full summary (_ErrorSummary):
+    a PropagationResult with the variance, bias and trimmed rmse as well.
+    Both scale their sums by a power of two where squares would overflow,
+    so an rmse is inf only when an error itself is; the variance can still
+    overflow, and a caller that reports it checks it.
+
     The allocation must already be validated and ``count`` be at least 1.
 
     Raises:
         DivisionNearZeroError: an expression is degenerate at the reference.
         NonFiniteError: an expression's value at the reference, or the
-            summary of its errors, overflows (or is NaN).
+            rmse of its errors, overflows (or is NaN).
         HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's
             samples hit near-zero denominators.
     """
@@ -309,8 +322,8 @@ def replay_montecarlo(
         for index, spec in enumerate(workload.statistics)
         if spec.id in used
     ]
-    summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) for _ in expressions]
-    # An overflow makes a summary non-finite (NonFiniteError below) or vanishes (1 / inf is 0).
+    summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) if keep else _SquareSum() for keep in full]
+    # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, count, CHUNK):
@@ -339,30 +352,87 @@ def replay_montecarlo(
                     f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
                     f"(limit {HEAVY_TAIL_FRACTION:.1%})"
                 )
-            result = summary.result()
-            # Finite when no error and no sum of squared errors overflowed.
-            if not (math.isfinite(result.rmse) and math.isfinite(result.variance)):
-                raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {result.rmse!r})")
-            results.append(result)
+            rmse = summary.rmse()
+            if not math.isfinite(rmse):
+                raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {rmse!r})")
+            results.append(summary.result(rmse))
     return results
 
 
-class _ErrorSummary:
-    """Running summary of one expression's kept errors, fed chunk by chunk.
+def _unscaled(value: float, shift: int) -> float:
+    """``value * 2**shift``, exact; inf, with value's sign, past the largest float."""
+    try:
+        return math.ldexp(value, shift)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
-    Keeps the sum of squares, the mean and M2 (chunks merged by Chan's
-    pairwise formula), and for the trimmed rmse an exact running set of the
-    k smallest and k largest errors (``tails``, sorted, the k smallest
-    first) plus the sum of squares of every error in neither.
+
+class _SquareSum:
+    """The rmse-only summary of one expression's errors, fed chunk by chunk:
+    the kept and excluded counts and the sum of squares of the kept errors.
+
+    Errors are summed as ``x * 2**-shift``. shift stays 0, and the sums plain,
+    until a chunk's squares overflow the running sum while its errors are
+    finite. Then shift grows by the binary exponent of the chunk's largest
+    scaled |error|, so that each square is below 1, and the sums so far are
+    rescaled by that exact power of two.
     """
 
-    __slots__ = ("k", "kept", "excluded", "sum_sq", "mean", "m2", "tails", "core_sq")
+    __slots__ = ("kept", "excluded", "sum_sq", "shift")
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self):
         self.kept = 0
         self.excluded = 0
         self.sum_sq = 0.0
+        self.shift = 0
+
+    def add(self, kept: np.ndarray, excluded: int) -> None:
+        self.excluded += excluded
+        if kept.size:
+            self._add_squares(kept)
+
+    def _add_squares(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Counts a nonempty chunk and sums its squares; returns the chunk as summed (scaled) and its squares."""
+        if self.shift:
+            kept = np.ldexp(kept, -self.shift)
+        squares = kept * kept
+        sum_sq = self.sum_sq + float(squares.sum())
+        if math.isinf(sum_sq) and np.isfinite(kept).all():
+            delta = math.frexp(float(np.abs(kept).max()))[1]
+            self._rescale(delta)
+            kept = np.ldexp(kept, -delta)
+            squares = kept * kept
+            sum_sq = self.sum_sq + float(squares.sum())
+        self.sum_sq = sum_sq
+        self.kept += kept.size
+        return kept, squares
+
+    def _rescale(self, delta: int) -> None:
+        """Moves every sum to units of ``2**(shift + delta)``."""
+        self.shift += delta
+        self.sum_sq = math.ldexp(self.sum_sq, -2 * delta)
+
+    def rmse(self) -> float:
+        return _unscaled(math.sqrt(self.sum_sq / self.kept), self.shift)
+
+    def result(self, rmse: float) -> float:
+        """The kernel's result for this expression, given its checked rmse: the rmse itself."""
+        return rmse
+
+
+class _ErrorSummary(_SquareSum):
+    """The full summary: _SquareSum's plus the mean and M2 of the kept errors
+    (chunks merged by Chan's pairwise formula) and, for the trimmed rmse, an
+    exact running set of the k smallest and k largest errors (``tails``,
+    sorted, the k smallest first) plus the sum of squares of every error in
+    neither. All of it is kept in _SquareSum's units of ``2**shift``.
+    """
+
+    __slots__ = ("k", "mean", "m2", "tails", "core_sq")
+
+    def __init__(self, k: int):
+        super().__init__()
+        self.k = k
         self.mean = 0.0
         self.m2 = 0.0
         self.tails = np.empty(0)
@@ -373,20 +443,19 @@ class _ErrorSummary:
         size = kept.size
         if size == 0:
             return
-        squares = kept * kept
-        self.sum_sq += float(squares.sum())
+        previous = self.kept
+        kept, squares = self._add_squares(kept)
         chunk_mean = float(kept.sum()) / size
         centered = kept - chunk_mean
         centered *= centered
         chunk_m2 = float(centered.sum())
-        if self.kept == 0:
+        if previous == 0:
             self.mean, self.m2 = chunk_mean, chunk_m2
         else:
-            total = self.kept + size
+            total = previous + size
             delta = chunk_mean - self.mean
             self.mean += delta * size / total
-            self.m2 += chunk_m2 + delta * delta * self.kept * size / total
-        self.kept += size
+            self.m2 += chunk_m2 + delta * delta * previous * size / total
         k = self.k
         if k == 0:
             return
@@ -406,18 +475,27 @@ class _ErrorSummary:
             pushed = merged[k:-k]
             self.core_sq += float((pushed * pushed).sum())
 
-    def result(self) -> PropagationResult:
-        rmse = math.sqrt(self.sum_sq / self.kept)
+    def _rescale(self, delta: int) -> None:
+        super()._rescale(delta)
+        self.mean = math.ldexp(self.mean, -delta)
+        self.m2 = math.ldexp(self.m2, -2 * delta)
+        self.core_sq = math.ldexp(self.core_sq, -2 * delta)
+        self.tails = np.ldexp(self.tails, -delta)
+
+    def result(self, rmse: float) -> PropagationResult:
         drop = int(self.kept * TRIM_PER_TAIL)
         if drop == 0:
             trimmed = rmse
         else:
             # The inner values of both tails join the core; drop <= k.
             inner = self.tails[drop : self.tails.size - drop]
-            trimmed = math.sqrt((self.core_sq + float((inner * inner).sum())) / (self.kept - 2 * drop))
+            core_sq = self.core_sq + float((inner * inner).sum())
+            trimmed = _unscaled(math.sqrt(core_sq / (self.kept - 2 * drop)), self.shift)
         return PropagationResult(
-            variance=self.m2 / self.kept,
+            variance=_unscaled(self.m2 / self.kept, 2 * self.shift),
             rmse=rmse,
             method="montecarlo",
-            mc_detail=MonteCarloDetail(samples=self.kept, bias_estimate=self.mean, trimmed_rmse=trimmed),
+            mc_detail=MonteCarloDetail(
+                samples=self.kept, bias_estimate=_unscaled(self.mean, self.shift), trimmed_rmse=trimmed
+            ),
         )

@@ -85,8 +85,10 @@ def score_validated(
             raise ValueError("the montecarlo estimator requires an explicit seed")
         check_mc_samples(options.mc_samples)
         expressions = [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
-        results = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed)
-        equation_part = [result.rmse / norm for result, norm in zip(results, model.norms.tolist())]
+        # The score reads only each rmse, so the kernel keeps only each sum of squares.
+        full = [False] * len(expressions)
+        rmses = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, full)
+        equation_part = [rmse / norm for rmse, norm in zip(rmses, model.norms.tolist())]
     us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
     ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
     try:

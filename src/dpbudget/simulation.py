@@ -105,11 +105,13 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     # bare-reference expression over it yields.
     expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]
     expressions += [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
-    results = replay_montecarlo(workload, allocation, expressions, trials, seed, sink)
+    # A statistic reports only its rmse, so its summary keeps only its sum of squares.
     n_stat = len(workload.statistics)
+    full = [False] * n_stat + [True] * len(workload.equations)
+    results = replay_montecarlo(workload, allocation, expressions, trials, seed, full, sink)
     per_statistic = {
-        spec.id: StatisticErrorSummary(empirical_rmse=result.rmse, predicted_rmse=predicted_rmse)
-        for spec, result, predicted_rmse in zip(workload.statistics, results, statistic_part.tolist())
+        spec.id: StatisticErrorSummary(empirical_rmse=rmse, predicted_rmse=predicted_rmse)
+        for spec, rmse, predicted_rmse in zip(workload.statistics, results, statistic_part.tolist())
     }
     per_equation = {
         equation.id: EquationErrorSummary(

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from dpbudget import (
     uniform_allocation,
     validate_allocation,
 )
+from dpbudget import allocator
 from dpbudget.propagation import FirstOrderModel, budget_vector
 from dpbudget.errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 
@@ -480,3 +482,33 @@ def test_grid_refuses_a_lattice_over_its_cap_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_grid_lattice_chunks_run_in_lexicographic_order(monkeypatch):
+    monkeypatch.setattr(allocator, "_GRID_CHUNK", 7)
+    chunks = list(allocator._compositions(12, 4))
+    assert {chunk.shape[0] for chunk in chunks[:-1]} == {7}
+    every = [tuple(row) for row in np.concatenate(chunks).tolist()]
+    brute = [cell for cell in itertools.product(range(1, 10), repeat=4) if sum(cell) == 12]
+    assert every == brute  # product yields them in lexicographic order
+    assert [chunk.tolist() for chunk in allocator._compositions(12, 1)] == [[[12]]]
+
+
+def test_grid_memory_is_one_chunk_not_the_lattice(monkeypatch):
+    # Resolution 60 on 5 statistics has 455,126 cells: the whole lattice is 18.2 MB of int64.
+    # With 4,096-row chunks the search must stay far below it, and find the same cell.
+    workload = make_workload(
+        stats=tuple((f"s{i}", 1.0 + i / 4, 10.0 * i) for i in range(1, 6)),
+        equations=(("e1", "s1 + s2 * s3", 2.0), ("e2", "(s4 - s5) / s1", 1.0)),
+    )
+    whole = grid_search(workload, 60)
+    monkeypatch.setattr(allocator, "_GRID_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        chunked = grid_search(workload, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunked == whole
+    assert chunked.iterations == math.comb(59, 4) == 455_126
+    assert peak < 4 * 10**6

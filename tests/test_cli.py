@@ -493,9 +493,10 @@ OVERFLOW_RUNS = {
     "optimize, budgets too small": (_TINY_BUDGETS, ("optimize",)),
     "optimize grid, budgets too small": (_TINY_BUDGETS, ("optimize", "--method", "grid")),
     "simulate, budgets too small": (_TINY_BUDGETS, ("simulate", "--trials", "1000", "--seed", "1")),
-    # s1 is in no equation, so only its replayed errors overflow (their squares).
+    # s1 is in no equation and its noise scale, 1e308, and predicted rmse are finite, but its
+    # largest draws overflow. (Squares that overflow are rescaled, so budget 0.5 would simulate.)
     "simulate, sensitivity 1e300": (
-        ([(1e300, 1.0), (1.0, 1.0)], "2 * s2", [0.5, 0.5]), ("simulate", "--trials", "1000", "--seed", "1"),
+        ([(1e300, 1.0), (1.0, 1.0)], "2 * s2", [1e-8, 0.5]), ("simulate", "--trials", "1000", "--seed", "1"),
     ),
 }
 

@@ -12,7 +12,7 @@ from dpbudget import (
     propagate_variance_montecarlo,
     sample_noise_batch,
 )
-from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning
+from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, NonFiniteError
 from dpbudget.expressions import DIVISION_GUARD
 from dpbudget.propagation import CHUNK, TRIM_PER_TAIL
 
@@ -286,3 +286,24 @@ def test_chunked_kernel_core_sum_survives_extreme_tails():
     expected = sampled_reference(workload, alloc, samples, 4, lambda v: v["s1"], lambda v: v["d"] * v["d"])
     assert expected["rmse"] > 100 * expected["trimmed"]
     assert_matches_reference(result, expected, samples)
+
+
+def test_montecarlo_summary_rescales_squares_that_overflow():
+    # Errors near 1e153 have squares whose chunk sum overflows, which once made the rmse inf;
+    # the variance, ~1e306, is finite. At reference 0 the errors are those of sensitivity 1
+    # times 1e153, up to one rounding each.
+    samples, ast = 2 * CHUNK + 123, parse_expression("-s1 * 2")
+    unit, huge = (make_workload(stats=(("s1", sensitivity, 0.0),)) for sensitivity in (1.0, 1e153))
+    base = propagate_variance_montecarlo(ast, unit, allocation(unit, 1.0), samples, seed=3)
+    result = propagate_variance_montecarlo(ast, huge, allocation(huge, 1.0), samples, seed=3)
+    assert result.mc_detail.samples == samples
+    assert result.variance == pytest.approx(base.variance * 1e306, rel=1e-12)
+    assert result.rmse == pytest.approx(base.rmse * 1e153, rel=1e-12)
+    assert result.mc_detail.trimmed_rmse == pytest.approx(base.mc_detail.trimmed_rmse * 1e153, rel=1e-12)
+    assert abs(result.mc_detail.bias_estimate - base.mc_detail.bias_estimate * 1e153) <= 1e-12 * result.rmse
+
+
+def test_montecarlo_variance_that_truly_overflows_is_refused():
+    workload = make_workload(stats=(("s1", 1e200, 0.0),))  # the variance is ~8e400
+    with pytest.raises(NonFiniteError, match=r"^expression: its Monte Carlo variance overflows \(inf\)$"):
+        propagate_variance_montecarlo(parse_expression("-s1 * 2"), workload, allocation(workload, 1.0), 1000, seed=3)

@@ -6,8 +6,12 @@ from dpbudget import (
     MetricOptions,
     compare_allocations,
     grid_search,
+    propagate_variance_montecarlo,
     score_allocation,
+    simulate_pipeline,
 )
+from dpbudget.errors import HeavyTailWarning
+from dpbudget.propagation import CHUNK
 
 from helpers import allocation, make_workload, paper_workload
 
@@ -194,3 +198,57 @@ def test_compare_ranking_same_for_both_estimators_on_linear_workload():
         workload, candidates, MetricOptions(estimator="montecarlo", mc_samples=200_000), seed=99
     )
     assert [entry.name for entry in analytic] == [entry.name for entry in mc]
+
+
+def _montecarlo(samples):
+    return MetricOptions(estimator="montecarlo", mc_samples=samples)
+
+
+def _assert_terms_equal_full_route(workload, alloc, samples, seed):
+    # Score's route keeps only each sum of squares; the full summary must give the same rmse bits.
+    report = score_allocation(workload, alloc, _montecarlo(samples), seed=seed)
+    for equation in workload.equations:
+        full = propagate_variance_montecarlo(equation.expression, workload, alloc, samples, seed)
+        assert report.ue_terms[equation.id] == full.rmse / equation.sensitivity
+    return report
+
+
+def test_montecarlo_terms_equal_the_full_summary_rmse():
+    workload = paper_workload()
+    tuned, uniform = allocation(workload, 0.1, 0.2, 0.3, 0.4), allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    samples = 3 * CHUNK + 123
+    report = _assert_terms_equal_full_route(workload, tuned, samples, seed=11)
+    ranked = compare_allocations(workload, [("tuned", tuned), ("uniform", uniform)], _montecarlo(samples), seed=11)
+    assert {entry.name: entry.report for entry in ranked}["tuned"] == report
+
+
+def test_montecarlo_terms_equal_the_full_summary_rmse_with_excluded_samples():
+    # As in the propagation tests: d's noisy value falls within the division guard 5-30 times.
+    workload = make_workload(
+        epsilon=2.0, stats=(("s1", 1.0, 10.0), ("d", 2e-9, 1e-9)), equations=(("q", "s1 / d", 1.0),)
+    )
+    alloc = allocation(workload, 1.0, 1.0)
+    full = propagate_variance_montecarlo(workload.equations[0].expression, workload, alloc, 50_010, seed=6)
+    assert 50_010 - 30 <= full.mc_detail.samples < 50_010
+    _assert_terms_equal_full_route(workload, alloc, 50_010, seed=6)
+
+
+def test_montecarlo_score_heavy_tail_message_matches_the_full_route():
+    workload = make_workload(
+        epsilon=2.0, stats=(("s1", 1.0, 10.0), ("s4", 1e-10, 1e-11)), equations=(("ratio", "s1 / s4", 1.0),)
+    )
+    alloc = allocation(workload, 1.0, 1.0)
+    with pytest.raises(HeavyTailWarning) as scored:
+        score_allocation(workload, alloc, _montecarlo(10**4), seed=3)
+    with pytest.raises(HeavyTailWarning) as simulated:  # simulate keeps the full summary for equations
+        simulate_pipeline(workload, alloc, 10**4, seed=3)
+    assert str(scored.value) == str(simulated.value)
+    assert str(scored.value).startswith("equation 'ratio': ")
+
+
+def test_montecarlo_score_with_huge_sensitivity_lands_on_its_normalized_value():
+    # Its squared errors, ~1e400, once overflowed and the score ended in NonFiniteError.
+    workload = make_workload(stats=(("s1", 1e200, 1.0),), equations=(("eq", "s1", 1e200),))
+    report = score_allocation(workload, allocation(workload, 1.0), _montecarlo(10**5), seed=1)
+    assert report.ue_terms["eq"] == pytest.approx(SQRT2, rel=0.02)
+    assert report.metric == pytest.approx(2.0 * SQRT2, rel=0.01)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from dpbudget import (
+    MetricOptions,
+    StatRef,
     noise_stream,
     propagate_variance_analytic,
     propagate_variance_montecarlo,
     sample_noise_batch,
+    score_allocation,
     simulate_pipeline,
     simulate_with_series,
 )
@@ -152,6 +155,7 @@ def test_simulation_and_montecarlo_memory_do_not_grow_with_samples():
     for run in (
         lambda: propagate_variance_montecarlo(quotient, workload, alloc, 10**6, seed=1),
         lambda: simulate_pipeline(workload, alloc, 10**6, seed=1),
+        lambda: score_allocation(workload, alloc, MetricOptions(estimator="montecarlo", mc_samples=10**6), seed=1),
     ):
         tracemalloc.start()
         try:
@@ -160,3 +164,30 @@ def test_simulation_and_montecarlo_memory_do_not_grow_with_samples():
         finally:
             tracemalloc.stop()
         assert peak < 8 * 10**6
+
+
+def test_statistic_rmse_equals_the_full_summary_rmse():
+    # Simulate keeps only each statistic's sum of squares; the full summary must give the same rmse bits.
+    workload = paper_workload()
+    alloc = allocation(workload, 0.1, 0.2, 0.3, 0.4)
+    trials = 2 * CHUNK + 5000
+    report = simulate_pipeline(workload, alloc, trials, seed=2024)
+    for stat_id in workload.statistic_ids:
+        full = propagate_variance_montecarlo(StatRef(stat_id), workload, alloc, trials, seed=2024)
+        assert report.per_statistic[stat_id].empirical_rmse == full.rmse
+
+
+def test_huge_sensitivity_simulates_near_its_prediction():
+    # Its squared errors, ~1e400, once overflowed and simulate ended in NonFiniteError. At reference 0
+    # the errors are those of sensitivity 1 times 1e200, up to one rounding each.
+    unit, huge = (
+        make_workload(stats=(("s1", sens, 0.0),), equations=(("eq", "s1", sens),)) for sens in (1.0, 1e200)
+    )
+    base = simulate_pipeline(unit, allocation(unit, 1.0), 10**4, seed=1)
+    report = simulate_pipeline(huge, allocation(huge, 1.0), 10**4, seed=1)
+    statistic, equation = report.per_statistic["s1"], report.per_equation["eq"]
+    assert statistic.predicted_rmse == equation.predicted_rmse == pytest.approx(SQRT2 * 1e200, rel=1e-15)
+    assert statistic.empirical_rmse == equation.empirical_rmse == pytest.approx(SQRT2 * 1e200, rel=0.05)
+    assert equation.empirical_rmse == pytest.approx(base.per_equation["eq"].empirical_rmse * 1e200, rel=1e-12)
+    assert equation.trimmed_rmse == pytest.approx(base.per_equation["eq"].trimmed_rmse * 1e200, rel=1e-12)
+    assert abs(equation.bias - base.per_equation["eq"].bias * 1e200) <= 1e-12 * equation.empirical_rmse
