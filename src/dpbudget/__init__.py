@@ -38,10 +38,7 @@ _HOMES = {
         "propagate_variance_montecarlo",
     ),
     "scoring": ("RankedAllocation", "UtilityReport", "compare_allocations", "score_allocation"),
-    "simulation": (
-        "EquationErrorSummary", "SimulationReport", "StatisticErrorSummary", "simulate_pipeline",
-        "simulate_with_series",
-    ),
+    "simulation": ("EquationErrorSummary", "SimulationReport", "StatisticErrorSummary", "simulate_pipeline"),
     "workload": (
         "BudgetAllocation", "EquationSpec", "MetricOptions", "StatisticSpec", "Workload", "allocation_to_dict",
         "load_allocation", "load_workload", "validate_allocation",

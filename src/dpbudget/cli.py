@@ -11,17 +11,18 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DPBudgetError, ValidationError
+from .errors import DPBudgetError, ValidationError, ValidationIssue
 from .workload import (
     MIN_MC_SAMPLES,
-    BudgetAllocation,
     MetricOptions,
     Workload,
     allocation_to_dict,
@@ -127,15 +128,10 @@ def _read_file(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _UsageError(f"file not found: {path}")
-    return p.read_text(encoding="utf-8")
-
-
-def _load_workload_file(path: str) -> Workload:
-    return load_workload(_read_file(path))
-
-
-def _load_allocation_file(path: str, workload: Workload) -> BudgetAllocation:
-    return load_allocation(_read_file(path), workload)
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError([ValidationIssue("MalformedDocument", f"invalid UTF-8: {exc}")]) from None
 
 
 def _effective_options(workload: Workload, args: argparse.Namespace) -> MetricOptions:
@@ -240,12 +236,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     issues = []
     workload = None
     try:
-        workload = _load_workload_file(args.workload)
+        workload = load_workload(_read_file(args.workload))
     except ValidationError as exc:
         issues.extend(exc.issues)
     if workload is not None and args.allocation:
         try:
-            _load_allocation_file(args.allocation, workload)
+            load_allocation(_read_file(args.allocation), workload)
         except ValidationError as exc:
             issues.extend(exc.issues)
     if args.format == "json":
@@ -270,10 +266,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     from .scoring import score_allocation
 
-    workload = _load_workload_file(args.workload)
+    workload = load_workload(_read_file(args.workload))
     options = _effective_options(workload, args)
     _require_seed_for_montecarlo(options, args)
-    allocation = _load_allocation_file(args.allocation, workload)
+    allocation = load_allocation(_read_file(args.allocation), workload)
     report = score_allocation(workload, allocation, options, args.seed)
     _print_report(report, workload, args.format)
     return EXIT_OK
@@ -285,13 +281,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     paths = list(args.allocations) + list(args.allocation_flags)
     if len(paths) < 2:
         raise _UsageError("compare needs at least two allocation documents")
-    workload = _load_workload_file(args.workload)
+    workload = load_workload(_read_file(args.workload))
     options = _effective_options(workload, args)
     _require_seed_for_montecarlo(options, args)
     named = []
     for path in paths:
         try:
-            named.append((Path(path).name, _load_allocation_file(path, workload)))
+            named.append((Path(path).name, load_allocation(_read_file(path), workload)))
         except ValidationError as exc:
             raise ValidationError(
                 [type(issue)(issue.code, f"{path}: {issue.message}", issue.subject) for issue in exc.issues]
@@ -304,54 +300,69 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from .allocator import grid_search, optimize_descent, sqrt_rule_allocation
 
-    workload = _load_workload_file(args.workload)
-    if args.method == "sqrt":
-        result = sqrt_rule_allocation(workload)
-    elif args.method == "grid":
-        result = grid_search(workload, args.grid_resolution)
-    else:
-        result = optimize_descent(workload, max_iters=args.max_iters, tol=args.tol)
-    _print_optimization(result, args.format)
-    if not result.converged and not args.allow_nonconverged:
-        print(
-            f"descent did not converge within {args.max_iters} iterations "
-            "(pass --allow-nonconverged to accept the best allocation found)",
-            file=sys.stderr,
-        )
-        return EXIT_COMPUTE
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(allocation_to_dict(result.allocation), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+    workload = load_workload(_read_file(args.workload))
+    with _output_file(args.out) if args.out else contextlib.nullcontext() as handle:
+        if args.method == "sqrt":
+            result = sqrt_rule_allocation(workload)
+        elif args.method == "grid":
+            result = grid_search(workload, args.grid_resolution)
+        else:
+            result = optimize_descent(workload, max_iters=args.max_iters, tol=args.tol)
+        _print_optimization(result, args.format)
+        if not result.converged and not args.allow_nonconverged:
+            print(
+                f"descent did not converge within {args.max_iters} iterations "
+                "(pass --allow-nonconverged to accept the best allocation found)",
+                file=sys.stderr,
+            )
+            return EXIT_COMPUTE
+        if handle is not None:
+            handle.write(json.dumps(allocation_to_dict(result.allocation), sort_keys=True, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from .simulation import simulate_pipeline, simulate_with_series
+    from .simulation import _simulate
 
     if args.seed is None:
         raise _UsageError("simulate requires an explicit --seed")
-    workload = _load_workload_file(args.workload)
-    allocation = _load_allocation_file(args.allocation, workload)
-    series = None
-    if args.dump_trials:
-        report, series = simulate_with_series(workload, allocation, args.trials, args.seed)
+    workload = load_workload(_read_file(args.workload))
+    allocation = load_allocation(_read_file(args.allocation), workload)
+    if not args.dump_trials:
+        report = _simulate(workload, allocation, args.trials, args.seed, None)
     else:
-        report = simulate_pipeline(workload, allocation, args.trials, args.seed)
+        with _output_file(args.dump_trials) as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            stat_keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
+            writer.writerow(["trial", *stat_keys, *(f"eq:{equation.id}" for equation in workload.equations)])
+
+            def write_chunk(start: int, chunk_errors) -> None:
+                # Each column is converted in one pass: repr of each value, an empty cell for an excluded (NaN) trial.
+                columns = [["" if x != x else repr(x) for x in errors.tolist()] for errors in chunk_errors]
+                writer.writerows(zip(range(start, start + len(columns[0])), *columns))
+
+            report = _simulate(workload, allocation, args.trials, args.seed, write_chunk)
     _print_simulation(report, args.format)
-    if series is not None:
-        _write_trial_dump(args.dump_trials, report.trials, series)
     return EXIT_OK
 
 
-def _write_trial_dump(path: str, trials: int, series) -> None:
-    # Each column is converted in one pass: repr of each value, an empty cell for an excluded (NaN) trial.
-    columns = [["" if value != value else repr(value) for value in errors.tolist()] for errors in series.values()]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial", *series])
-        writer.writerows(zip(range(trials), *columns))
+@contextlib.contextmanager
+def _output_file(path: str):
+    """A text handle on a new file beside ``path`` that replaces it if the block writes to it and succeeds,
+    and is removed otherwise. An unwritable path is a usage error, raised before the block runs."""
+    partial = Path(path).with_name(f".{Path(path).name}.partial")
+    if os.path.isdir(path):
+        raise _UsageError(f"cannot write {path}: it is a directory")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+            written = handle.tell() > 0
+        if written:
+            os.replace(partial, path)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 _HANDLERS = {

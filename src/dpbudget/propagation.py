@@ -103,7 +103,8 @@ def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, di
                 stack.append((lv * rv, {n: rv * lg.get(n, 0.0) + lv * rg.get(n, 0.0) for n in names}))
             else:
                 value = _guarded_divide(lv, rv)
-                stack.append((value, {n: lg.get(n, 0.0) / rv - lv * rg.get(n, 0.0) / (rv * rv) for n in names}))
+                # (l / r)' = (l' - value * r') / r: never r * r, which overflows past |r| ~ 1.3e154.
+                stack.append((value, {n: (lg.get(n, 0.0) - value * rg.get(n, 0.0)) / rv for n in names}))
         elif kind is Negate:
             value, gradient = stack.pop()
             stack.append((-value, {name: -g for name, g in gradient.items()}))
@@ -291,8 +292,8 @@ def replay_montecarlo(
     errors (output minus reference output) are summarized on the fly, so
     memory is O(CHUNK x statistics + expressions x tail size). The chunk
     size is fixed, which fixes the summation order and keeps reports
-    byte-identical. ``sink``, if given, receives each chunk's start index
-    and per-expression errors, with NaN at excluded samples.
+    byte-identical. ``sink``, if given, receives each chunk's start index and
+    per-expression errors (NaN at excluded samples); none are kept after it.
 
     ``full[i]`` sizes expression i's summary to what its caller reports.
     False keeps only the sum of squared errors (_SquareSum), and the

@@ -73,27 +73,9 @@ def simulate_pipeline(workload: Workload, allocation: BudgetAllocation, trials: 
     return _simulate(workload, allocation, trials, seed, None)
 
 
-def simulate_with_series(
-    workload: Workload, allocation: BudgetAllocation, trials: int, seed: int
-) -> tuple[SimulationReport, dict[str, np.ndarray]]:
-    """Like simulate_pipeline, also returning per-trial error series.
-
-    Series keys are "stat:<id>" per statistic, then "eq:<id>" per equation,
-    in workload order; excluded equation trials hold NaN. The report
-    equals simulate_pipeline's.
-    """
-    keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
-    keys += [f"eq:{equation.id}" for equation in workload.equations]
-    series = {key: np.empty(max(trials, 0)) for key in keys}
-
-    def collect(start: int, chunk_errors: list[np.ndarray]) -> None:
-        for key, errors in zip(keys, chunk_errors):
-            series[key][start : start + errors.size] = errors
-
-    return _simulate(workload, allocation, trials, seed, collect), series
-
-
 def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
+    """simulate_pipeline, also handing each chunk's errors to ``sink`` (see replay_montecarlo): one array
+    per statistic, then per equation, in workload order, with NaN at excluded equation trials."""
     allocation = validate_allocation(workload, allocation)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+import json
 import math
 import random
+from pathlib import Path
+
+import numpy as np
 
 from dpbudget import (
     BudgetAllocation,
@@ -11,9 +18,11 @@ from dpbudget import (
     MetricOptions,
     StatisticSpec,
     Workload,
+    allocation_to_dict,
     parse_expression,
     validate_allocation,
 )
+from dpbudget.cli import run_cli
 from dpbudget.errors import DivisionNearZeroError
 from dpbudget.expressions import Binary, BinaryOp, Constant, Expr, Negate, StatRef, evaluate, free_statistics
 from dpbudget.propagation import gradient_at_reference
@@ -57,6 +66,28 @@ def paper_workload(**option_overrides) -> Workload:
 
 def allocation(workload: Workload, *budgets: float) -> BudgetAllocation:
     return validate_allocation(workload, dict(zip(workload.statistic_ids, budgets)))
+
+
+def simulate_dump(directory: Path, workload: Workload, alloc: BudgetAllocation, trials: int, seed: int):
+    """Runs ``dpbudget simulate --dump-trials`` on the workload and allocation, written to ``directory``.
+
+    Returns the JSON report and the dump's columns by header, as float arrays
+    (NaN for an empty cell, which marks an excluded trial).
+    """
+    workload_path, allocation_path, dump = (directory / name for name in ("w.json", "a.json", "trials.csv"))
+    workload_path.write_text(json.dumps(workload.to_dict()), encoding="utf-8")
+    allocation_path.write_text(json.dumps(allocation_to_dict(alloc)), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli([
+            "simulate", "--workload", str(workload_path), "--allocation", str(allocation_path),
+            "--trials", str(trials), "--seed", str(seed), "--dump-trials", str(dump),
+        ])
+    assert code == 0
+    with open(dump, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    columns = {key: np.array([float(row[i]) if row[i] else math.nan for row in rows]) for i, key in enumerate(header)}
+    return json.loads(stdout.getvalue()), columns
 
 
 def random_tree(rng: random.Random, ids: list[str], depth: int) -> Expr:

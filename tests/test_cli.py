@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,12 +18,15 @@ from dpbudget import (
     free_statistics,
     load_allocation,
     load_workload,
+    noise_stream,
+    sample_noise_batch,
     score_allocation,
-    simulate_with_series,
     uniform_allocation,
     validate_allocation,
 )
 from dpbudget.cli import run_cli
+from dpbudget.errors import DivisionNearZeroError
+from dpbudget.expressions import evaluate
 
 from helpers import DEEP_EXPRESSIONS, random_allocation, random_instance
 
@@ -398,7 +402,7 @@ def test_monte_carlo_sample_floor_is_a_validation_and_usage_rule(tmp_path, capsy
 
 def test_trial_dump_cells_match_the_series(tmp_path, capsys):
     # The s1 / d instance of test_propagation.py: d's noise crosses zero in a
-    # few trials, which are excluded (NaN in the series, empty in the dump).
+    # few trials, which are excluded (an empty cell in the dump).
     document = json.dumps({
         "epsilon": 2.0,
         "statistics": [
@@ -416,16 +420,121 @@ def test_trial_dump_cells_match_the_series(tmp_path, capsys):
         "--dump-trials", str(dump),
     )
     assert code == 0
+    # The reference: one draw per statistic's stream, and each trial's equation
+    # evaluated one at a time, refused where its denominator is within DIVISION_GUARD.
     workload = load_workload(document)
-    _, series = simulate_with_series(workload, load_allocation(budgets, workload), trials, 6)
+    alloc = load_allocation(budgets, workload)
+    refs = workload.reference_values()
+    noise = {
+        spec.id: sample_noise_batch(spec.sensitivity / alloc.budgets[spec.id], noise_stream(6, index), trials).tolist()
+        for index, spec in enumerate(workload.statistics)
+    }
+    equation = workload.equations[0].expression
+    reference_output = evaluate(equation, refs)
     with open(dump, newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["trial", "stat:s1", "stat:d", "eq:q"]
     assert len(rows) == trials + 1
     for t, row in enumerate(rows[1:]):
-        expected = [str(t)] + ["" if math.isnan(values[t]) else repr(float(values[t])) for values in series.values()]
+        released = {stat_id: refs[stat_id] + noise[stat_id][t] for stat_id in refs}
+        expected = [str(t)] + [repr(released[stat_id] - refs[stat_id]) for stat_id in workload.statistic_ids]
+        try:
+            expected.append(repr(evaluate(equation, released) - reference_output))
+        except DivisionNearZeroError:
+            expected.append("")
         assert row == expected, t
     assert 0 < sum(row[3] == "" for row in rows[1:]) < 50
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    missing = str(tmp_path / "no" / "such" / "dir" / "out")
+    for path in (missing, str(tmp_path)):
+        for argv in (
+            ("optimize", "--workload", PAPER, "--out", path),
+            ("simulate", "--workload", PAPER, "--allocation", UNIFORM, "--seed", "1", "--dump-trials", path),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1, err
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
+def test_failed_simulation_leaves_no_dump(tmp_path, capsys):
+    heavy = _write(tmp_path, "heavy.json", json.dumps({
+        "epsilon": 2.0,
+        "statistics": [
+            {"id": "s1", "sensitivity": 1.0, "reference_value": 10.0},
+            {"id": "s4", "sensitivity": 1e-10, "reference_value": 1e-11},
+        ],
+        "equations": [{"id": "ratio", "expression": "s1 / s4", "sensitivity": 1.0}],
+    }))
+    # Noise scale 1e308: its predicted rmse is finite, its largest draws are not.
+    overflowing = _write(tmp_path, "huge.json", json.dumps({
+        "epsilon": 1e-8,
+        "statistics": [{"id": "s1", "sensitivity": 1e300, "reference_value": 1.0}],
+        "equations": [],
+    }))
+    budgets = _write(tmp_path, "budgets.json", '{"budgets": {"s1": 1.0, "s4": 1.0}}')
+    tiny = _write(tmp_path, "tiny.json", '{"budgets": {"s1": 1e-8}}')
+    kept = tmp_path / "kept.csv"
+    fresh = tmp_path / "fresh.csv"
+    kept.write_text("an earlier dump\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for workload, allocation, trials, error in (
+        (heavy, budgets, "10000", "error: equation 'ratio': "),
+        (overflowing, tiny, "1000", "error: statistic 's1': "),
+        (PAPER, UNIFORM, "0", "error: trials must be at least 1"),
+    ):
+        for dump in (kept, fresh):
+            code, out, err = run(
+                capsys, "simulate", "--workload", workload, "--allocation", allocation, "--trials", trials,
+                "--seed", "3", "--dump-trials", str(dump),
+            )
+            assert (code, out) == (3, ""), workload
+            assert err.startswith(error), err
+            assert sorted(p.name for p in tmp_path.iterdir()) == before
+            assert kept.read_text() == "an earlier dump\n"
+
+
+def test_trial_dump_memory_does_not_grow_with_trials(tmp_path, capsys):
+    # 13 chunks: holding the whole run's series and their cells peaked near 40 MB;
+    # the dump holds one chunk's cells at a time.
+    workload = _write(tmp_path, "w.json", json.dumps({
+        "epsilon": 1.0,
+        "statistics": [{"id": "s1", "sensitivity": 1.0, "reference_value": 10.0}],
+        "equations": [{"id": "eq", "expression": "2 * s1", "sensitivity": 1.0}],
+    }))
+    budgets = _write(tmp_path, "a.json", '{"budgets": {"s1": 1.0}}')
+    dump = tmp_path / "trials.csv"
+    argv = ["simulate", "--workload", workload, "--allocation", budgets, "--seed", "1", "--dump-trials", str(dump)]
+    assert run_cli([*argv, "--trials", "10"]) == 0  # imports the simulating modules, which would count below
+    trials = 200_000
+    tracemalloc.start()
+    try:
+        code = run_cli([*argv, "--trials", str(trials)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 8 * 10**6
+    with open(dump, encoding="utf-8") as handle:
+        assert sum(1 for _ in handle) == trials + 1
+
+
+def test_non_utf8_documents_are_malformed(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for argv in (("--workload", str(binary)), ("--workload", PAPER, "--allocation", str(binary))):
+        code, out, _ = run(capsys, "validate", *argv, "--format", "json")
+        assert code == 1
+        assert [issue["code"] for issue in json.loads(out)["issues"]] == ["MalformedDocument"]
+        code, out, _ = run(capsys, "validate", *argv, "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[1].startswith("MalformedDocument,,invalid UTF-8: ")
+    code, out, err = run(capsys, "score", "--workload", str(binary), "--allocation", UNIFORM)
+    assert (code, out) == (1, "")
+    assert err.startswith("MalformedDocument: invalid UTF-8: ")
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
@@ -613,3 +722,13 @@ def test_fuzzed_documents_end_in_a_documented_exit_code(tmp_path, capsys, docume
         assert "Traceback" not in err
         if code == 0:
             strict_json(out)
+        if argv[0] == "simulate":
+            # The dump changes no report, and a failed run leaves none.
+            dump = tmp_path / "trials.csv"
+            dump.unlink(missing_ok=True)
+            dumped = run(capsys, argv[0], "--workload", workload, *argv[1:], "--dump-trials", str(dump))
+            assert dumped == (code, out, err)
+            left = {"budgets.json", "fuzz.json", "trials.csv"} if code == 0 else {"budgets.json", "fuzz.json"}
+            assert {p.name for p in tmp_path.iterdir()} == left
+            if code == 0:
+                assert dump.read_text(encoding="utf-8").count("\n") == 201

@@ -47,6 +47,14 @@ def test_gradient_of_quotient():
     assert gradient["s4"] == pytest.approx(-1.2, abs=1e-15)
 
 
+@pytest.mark.parametrize("numerator, denominator", [(1e200, 1e200), (1e300, 1e160)])
+def test_gradient_of_quotient_with_huge_denominator(numerator, denominator):
+    # A quotient rule that squares the denominator overflows here and zeroes its partial.
+    gradient = gradient_at_reference(parse_expression("s1 / s2"), {"s1": numerator, "s2": denominator})
+    assert gradient["s1"] == pytest.approx(1.0 / denominator, rel=1e-15, abs=0.0)
+    assert gradient["s2"] == pytest.approx(-numerator / denominator / denominator, rel=1e-15, abs=0.0)
+
+
 def test_gradient_keeps_cancelled_references():
     gradient = gradient_at_reference(parse_expression("s1 - s1"), {"s1": 4.0})
     assert gradient == {"s1": 0.0}

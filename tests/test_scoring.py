@@ -115,6 +115,18 @@ def test_budget_scaling_law():
         assert base == pytest.approx(k * scaled, rel=1e-12)
 
 
+@pytest.mark.parametrize("numerator, denominator", [(1.0, 1.0), (1e200, 1e200), (1e300, 1e160)])
+def test_quotient_of_huge_references_scores_its_true_value(numerator, denominator):
+    # The partials of s1 / s2 are 1 / s2 and -s1 / s2**2, so at budgets 0.5 its score is
+    # 2 * sqrt(2) * hypot(1 / s2, s1 / s2**2): 4 at (1, 1), 4e-200 at (1e200, 1e200).
+    workload = make_workload(
+        stats=(("s1", 1.0, numerator), ("s2", 1.0, denominator)), equations=(("q", "s1 / s2", 1.0),)
+    )
+    expected = 2.0 * SQRT2 * math.hypot(1.0 / denominator, numerator / denominator / denominator)
+    report = score_allocation(workload, allocation(workload, 0.5, 0.5))
+    assert report.ue_terms["q"] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_sensitivity_rescaling_invariance():
     def build(c, normalized):
         return make_workload(

@@ -13,12 +13,11 @@ from dpbudget import (
     sample_noise_batch,
     score_allocation,
     simulate_pipeline,
-    simulate_with_series,
 )
 from dpbudget.errors import HeavyTailWarning
 from dpbudget.propagation import CHUNK
 
-from helpers import allocation, make_workload, paper_workload
+from helpers import allocation, make_workload, paper_workload, simulate_dump
 
 SQRT2 = math.sqrt(2.0)
 
@@ -62,16 +61,16 @@ def test_linear_equation_rmse_tracks_analytic_prediction():
     assert abs(summary.empirical_rmse - predicted) / predicted <= 0.02
 
 
-def test_bare_reference_equation_reproduces_statistic_errors():
+def test_bare_reference_equation_reproduces_statistic_errors(tmp_path):
     workload = make_workload(
         epsilon=1.0,
         stats=(("s1", 1.0, 10.0), ("s2", 1.0, 20.0)),
         equations=(("echo", "s1", 1.0),),
     )
     alloc = allocation(workload, 0.5, 0.5)
-    report, series = simulate_with_series(workload, alloc, trials=5000, seed=99)
-    assert np.array_equal(series["eq:echo"], series["stat:s1"])
-    assert report.per_equation["echo"].empirical_rmse == report.per_statistic["s1"].empirical_rmse
+    report, columns = simulate_dump(tmp_path, workload, alloc, trials=5000, seed=99)
+    assert np.array_equal(columns["eq:echo"], columns["stat:s1"])
+    assert report["per_equation"]["echo"]["empirical_rmse"] == report["per_statistic"]["s1"]["empirical_rmse"]
 
 
 def test_single_trial_report_is_flagged_unreliable():
@@ -103,23 +102,23 @@ def test_heavy_tailed_equation_aborts():
         simulate_pipeline(workload, alloc, trials=10**4, seed=3)
 
 
-def test_release_matches_first_simulation_trial():
+def test_release_matches_first_simulation_trial(tmp_path):
     from dpbudget import release_statistics
 
     workload = paper_workload()
     alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
     released = release_statistics(workload, alloc, seed=321)
-    _, series = simulate_with_series(workload, alloc, trials=3, seed=321)
+    _, columns = simulate_dump(tmp_path, workload, alloc, trials=3, seed=321)
     refs = workload.reference_values()
     for stat_id in workload.statistic_ids:
-        assert released[stat_id] == refs[stat_id] + series[f"stat:{stat_id}"][0]
+        assert released[stat_id] == refs[stat_id] + columns[f"stat:{stat_id}"][0]
 
 
-def test_series_over_chunks_match_one_draw_per_stream():
+def test_series_over_chunks_match_one_draw_per_stream(tmp_path):
     workload = paper_workload()
     alloc = allocation(workload, 0.1, 0.2, 0.3, 0.4)
     trials = 3 * CHUNK + 123
-    report, series = simulate_with_series(workload, alloc, trials, seed=12)
+    report, series = simulate_dump(tmp_path, workload, alloc, trials, seed=12)
     released = {}
     for index, spec in enumerate(workload.statistics):
         scale = spec.sensitivity / alloc.budgets[spec.id]
@@ -127,10 +126,10 @@ def test_series_over_chunks_match_one_draw_per_stream():
         errors = released[spec.id] - spec.reference_value
         assert np.array_equal(series[f"stat:{spec.id}"], errors)
         rmse = math.sqrt(np.mean(errors * errors))
-        assert report.per_statistic[spec.id].empirical_rmse == pytest.approx(rmse, rel=1e-12)
+        assert report["per_statistic"][spec.id]["empirical_rmse"] == pytest.approx(rmse, rel=1e-12)
     eq1 = released["s2"] + released["s3"] - 27.0
     assert np.array_equal(series["eq:eq1"], eq1)
-    assert report.per_equation["eq1"].empirical_rmse == pytest.approx(math.sqrt(np.mean(eq1 * eq1)), rel=1e-12)
+    assert report["per_equation"]["eq1"]["empirical_rmse"] == pytest.approx(math.sqrt(np.mean(eq1 * eq1)), rel=1e-12)
 
 
 def test_simulation_equals_montecarlo_propagation_with_same_seed_and_count():
