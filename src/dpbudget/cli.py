@@ -74,7 +74,6 @@ def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = Non
     elif allocation == "optional":
         parser.add_argument("--allocation", metavar="PATH", help="allocation document (JSON)")
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json", help="output format")
-    parser.add_argument("--threads", type=int, default=None, help="parallelism hint (kernels are vectorized)")
     if estimator:
         parser.add_argument("--estimator", choices=("analytic", "montecarlo"), default=None,
                             help="override the workload's estimator")
@@ -255,11 +254,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for issue in issues:
             writer.writerow([issue.code, issue.subject or "", issue.message])
     else:
-        if issues:
-            for issue in issues:
-                print(str(issue))
-        else:
-            print("OK")
+        print("\n".join(map(str, issues)) if issues else "OK")
     return EXIT_VALIDATION if issues else EXIT_OK
 
 

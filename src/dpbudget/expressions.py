@@ -273,7 +273,7 @@ def evaluate(node: Expr, values: Mapping[str, float]) -> float:
         DivisionNearZeroError: a denominator magnitude fell below
             ``DIVISION_GUARD``.
     """
-    return _evaluate(node, values, float, _guarded_divide)
+    return _evaluate(_postorder(node), values, float, _guarded_divide)
 
 
 def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.ndarray):
@@ -293,17 +293,20 @@ def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.nda
             right = np.where(near_zero, 1.0, right)
         return left / right
 
-    return _evaluate(node, values, np.asarray, divide)
+    return _evaluate(_postorder(node), values, np.asarray, divide)
 
 
-def _evaluate(root: Expr, values: Mapping, leaf: Callable, divide: Callable):
-    """The one evaluation walk; ``leaf`` converts each looked-up value and ``divide`` is the division rule."""
+def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable, operands: list | None = None):
+    """The one evaluation walk, over a tree's ``_postorder`` list; ``leaf`` converts each looked-up value and
+    ``divide`` is the division rule. ``operands``, if given, receives each Binary node's (left, right) values."""
     stack = []
-    for node in _postorder(root):
+    for node in order:
         kind = type(node)
         if kind is Binary:
             right = stack.pop()
             left = stack[-1]
+            if operands is not None:
+                operands.append((left, right))
             op = node.op
             if op is BinaryOp.ADD:
                 stack[-1] = left + right

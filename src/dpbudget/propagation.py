@@ -22,13 +22,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HeavyTailWarning, MissingValueError, NonFiniteError
+from .errors import HeavyTailWarning, NonFiniteError
 from .expressions import (
     Binary,
     BinaryOp,
     Expr,
     Negate,
     StatRef,
+    _evaluate,
     _guarded_divide,
     _postorder,
     evaluate,
@@ -73,9 +74,9 @@ class PropagationResult:
 def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, float]:
     """Exact partial derivatives of the expression at the reference point.
 
-    Computed by forward differentiation over the tree in postorder; the
-    result has one entry per referenced statistic (zero entries included,
-    e.g. for "s1 - s1").
+    Computed by one reverse sweep over the tree (reverse-mode
+    differentiation), in time linear in its size; the result has one entry
+    per referenced statistic (zero entries included, e.g. for "s1 - s1").
 
     Raises:
         MissingValueError: a referenced id has no reference value.
@@ -86,40 +87,52 @@ def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, flo
 
 
 def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, dict[str, float]]:
-    """The expression's value at the reference point and its partials, from one postorder walk."""
-    stack: list[tuple[float, dict[str, float]]] = []  # (value, partials) of each finished subtree
-    for node in _postorder(ast):
+    """The expression's value at the reference point and its partials, by reverse-mode differentiation
+    (Griewank & Walther, "Evaluating Derivatives", 2008, ch. 3): the one evaluation walk records each
+    Binary node's operands, then one sweep in reverse postorder pushes adjoints down to the StatRefs."""
+    order = _postorder(ast)
+    operands: list[tuple[float, float]] = []
+    value = _evaluate(order, refs, float, _guarded_divide, operands)
+    partials: dict[str, float] = {}
+    pending = [1.0]  # adjoints of nodes not yet visited; a parent's right child is visited next, then its left
+    for node in reversed(order):
+        adjoint = pending.pop()
         kind = type(node)
         if kind is Binary:
-            rv, rg = stack.pop()
-            lv, lg = stack.pop()
-            names = lg.keys() | rg.keys()
-            op = node.op
-            if op is BinaryOp.ADD:
-                stack.append((lv + rv, {n: lg.get(n, 0.0) + rg.get(n, 0.0) for n in names}))
-            elif op is BinaryOp.SUB:
-                stack.append((lv - rv, {n: lg.get(n, 0.0) - rg.get(n, 0.0) for n in names}))
-            elif op is BinaryOp.MUL:
-                stack.append((lv * rv, {n: rv * lg.get(n, 0.0) + lv * rg.get(n, 0.0) for n in names}))
+            left, right = operands.pop()
+            if node.op is BinaryOp.ADD:
+                pending += (adjoint, adjoint)
+            elif node.op is BinaryOp.SUB:
+                pending += (adjoint, -adjoint)
+            elif node.op is BinaryOp.MUL:
+                pending += (adjoint * right, adjoint * left)
             else:
-                value = _guarded_divide(lv, rv)
-                # (l / r)' = (l' - value * r') / r: never r * r, which overflows past |r| ~ 1.3e154.
-                stack.append((value, {n: (lg.get(n, 0.0) - value * rg.get(n, 0.0)) / rv for n in names}))
+                # d(l / r) = (dl - (l / r) dr) / r: never r * r, which overflows past |r| ~ 1.3e154.
+                pending += (adjoint / right, -adjoint * (left / right) / right)
         elif kind is Negate:
-            value, gradient = stack.pop()
-            stack.append((-value, {name: -g for name, g in gradient.items()}))
+            pending.append(-adjoint)
         elif kind is StatRef:
-            try:
-                value = refs[node.name]
-            except KeyError:
-                raise MissingValueError(node.name) from None
-            stack.append((float(value), {node.name: 1.0}))
-        else:
-            stack.append((node.value, {}))
-    return stack[0]
+            partials[node.name] = partials.get(node.name, 0.0) + adjoint
+    return value, partials
 
 
-class FirstOrderModel:
+class _Scales:
+    """What every route's scores read besides the equation rmses: each statistic's coefficient
+    sqrt(2) * sensitivity (sqrt(2) under normalization), whose quotient by its budget is the
+    statistic's score, and each equation's norm (its sensitivity under normalization, else 1)."""
+
+    def __init__(self, workload: Workload, normalize: bool):
+        sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+        self.us_coeff = np.full(sens.size, _SQRT2) if normalize else _SQRT2 * sens
+        self.norms = np.array([eq.sensitivity if normalize else 1.0 for eq in workload.equations], dtype=float)
+
+    def statistic_terms(self, budgets: np.ndarray) -> np.ndarray:
+        """Per-statistic scores at a budget vector, or a batch with statistics on the last axis; inf on overflow."""
+        with np.errstate(over="ignore"):
+            return self.us_coeff / budgets
+
+
+class FirstOrderModel(_Scales):
     """Sparse first-order (closed-form) metric of a workload over budget vectors.
 
     Built once per public call from one gradient per equation. For every
@@ -133,16 +146,12 @@ class FirstOrderModel:
     """
 
     def __init__(self, workload: Workload, normalize: bool):
-        sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
-        self.us_coeff = np.full(sens.size, _SQRT2) if normalize else _SQRT2 * sens
-        expressions = [equation.expression for equation in workload.equations]
+        super().__init__(workload, normalize)
+        equations = workload.equations
         self.rows, self.cols, self.amplitudes, self.starts = _jacobian_amplitudes(
-            workload, expressions, lambda row: f"equation {workload.equations[row].id!r}"
+            workload, [eq.expression for eq in equations], lambda row: f"equation {equations[row].id!r}"
         )
         self.n_eq = len(workload.equations)
-        self.norms = np.array(
-            [equation.sensitivity if normalize else 1.0 for equation in workload.equations], dtype=float
-        )
 
     def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-statistic and per-equation scores (the report's us/ue terms) at a budget vector,
@@ -154,7 +163,7 @@ class FirstOrderModel:
             rmse = _row_norms(ratios, self.rows, self.starts, self.n_eq)
             del ratios
             rmse /= self.norms
-            return self.us_coeff / budgets, rmse
+        return self.statistic_terms(budgets), rmse
 
     def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
         """Metric of each row of a batch of budget vectors; inf where it overflows."""
@@ -173,35 +182,38 @@ def _jacobian_amplitudes(
 ) -> tuple[np.ndarray, ...]:
     """Flat (row, column, sqrt(2) * |g| * sensitivity) arrays of the nonzero partials, and where each row starts.
 
-    Entries run by expression, then by statistic index. The gradient dict's
-    own order follows set iteration and so varies between processes; the
-    fixed order keeps every sum, and so every report, byte-identical. A value
-    at the reference values or an amplitude that is not finite raises
+    Entries run by expression, then by statistic index: that order fixes the
+    order of every sum over a row, and so keeps every report byte-identical.
+    A value at the reference values or an amplitude that is not finite raises
     NonFiniteError naming the expression by ``label(row)``.
     """
     refs = workload.reference_values()
     index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
     rows: list[int] = []
     cols: list[int] = []
-    amplitudes: list[float] = []
+    partials: list[float] = []
     for row, ast in enumerate(expressions):
         value, gradient = _value_and_partials(ast, refs)
         if not math.isfinite(value):
             raise NonFiniteError(f"{label(row)}: its value at the reference values is {value!r}")
-        for col, g in sorted((index_of[name], g) for name, g in gradient.items() if g != 0.0):
-            rows.append(row)
-            cols.append(col)
-            amplitudes.append(_SQRT2 * abs(g) * workload.statistics[col].sensitivity)
-    amplitude_array = np.array(amplitudes, dtype=float)
-    overflowed = np.flatnonzero(~np.isfinite(amplitude_array))
+        rows += [row] * len(gradient)
+        cols += map(index_of.__getitem__, gradient)
+        partials += gradient.values()
+    partial_array = np.array(partials, dtype=float)
+    order = np.lexsort((cols, rows))
+    order = order[partial_array[order] != 0.0]
+    row_array, col_array = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
+    sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+    with np.errstate(over="ignore"):
+        amplitudes = _SQRT2 * np.abs(partial_array[order]) * sens[col_array]
+    overflowed = np.flatnonzero(~np.isfinite(amplitudes))
     if overflowed.size:
         entry = overflowed[0]
         raise NonFiniteError(
-            f"{label(rows[entry])}: its first-order amplitude in statistic "
-            f"{workload.statistics[cols[entry]].id!r} is {amplitudes[entry]!r} at the reference values"
+            f"{label(row_array[entry])}: its first-order amplitude in statistic "
+            f"{workload.statistics[col_array[entry]].id!r} is {float(amplitudes[entry])!r} at the reference values"
         )
-    row_array = np.array(rows, dtype=np.intp)
-    return row_array, np.array(cols, dtype=np.intp), amplitude_array, np.flatnonzero(np.diff(row_array, prepend=-1))
+    return row_array, col_array, amplitudes, np.flatnonzero(np.diff(row_array, prepend=-1))
 
 
 def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -229,10 +241,8 @@ def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: Budge
     """
     allocation = validate_allocation(workload, allocation)
     rows, cols, amplitudes, starts = _jacobian_amplitudes(workload, [ast], lambda row: "expression")
-    ids = workload.statistic_ids
-    entry_budgets = np.array([allocation.budgets[ids[col]] for col in cols.tolist()], dtype=float)
     with np.errstate(over="ignore"):
-        rmse = float(_row_norms(amplitudes / entry_budgets, rows, starts, 1)[0])
+        rmse = float(_row_norms(amplitudes / budget_vector(workload, allocation)[cols], rows, starts, 1)[0])
     if not math.isfinite(rmse * rmse):
         raise NonFiniteError(f"the predicted variance overflows at this allocation ({rmse * rmse!r})")
     return PropagationResult(variance=rmse * rmse, rmse=rmse, method="analytic")

@@ -9,11 +9,11 @@ The overall metric for an allocation is the plain sum of all scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import NonFiniteError
-from .propagation import FirstOrderModel, budget_vector, check_mc_samples, replay_montecarlo
+from .propagation import FirstOrderModel, _Scales, budget_vector, check_mc_samples, replay_montecarlo
 from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 
@@ -32,12 +32,7 @@ class UtilityReport:
     options: MetricOptions
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "metric": self.metric,
-            "us_terms": dict(self.us_terms),
-            "ue_terms": dict(self.ue_terms),
-            "options": self.options.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -67,19 +62,24 @@ def score_allocation(
     """
     options = options if options is not None else workload.options
     allocation = validate_allocation(workload, allocation)
-    model = FirstOrderModel(workload, options.normalize_by_sensitivity)
-    return score_validated(model, workload, allocation, options, seed)
+    return score_validated(_scorer(workload, options), workload, allocation, options, seed)
+
+
+def _scorer(workload: Workload, options: MetricOptions) -> _Scales:
+    """What score_validated reads: the first-order model, or for Monte Carlo, which reads no Jacobian, its _Scales."""
+    scales = _Scales if options.estimator == "montecarlo" else FirstOrderModel
+    return scales(workload, options.normalize_by_sensitivity)
 
 
 def score_validated(
-    model: FirstOrderModel,
+    model: _Scales,
     workload: Workload,
     allocation: BudgetAllocation,
     options: MetricOptions,
     seed: int | None,
 ) -> UtilityReport:
-    """score_allocation on a validated allocation and a model built for ``options``."""
-    statistic_part, equation_part = model.terms(budget_vector(workload, allocation))
+    """score_allocation on a validated allocation and ``_scorer(workload, options)``."""
+    budgets = budget_vector(workload, allocation)
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")
@@ -88,7 +88,10 @@ def score_validated(
         # The score reads only each rmse, so the kernel keeps only each sum of squares.
         full = [False] * len(expressions)
         rmses = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, full)
+        statistic_part = model.statistic_terms(budgets)
         equation_part = [rmse / norm for rmse, norm in zip(rmses, model.norms.tolist())]
+    else:
+        statistic_part, equation_part = model.terms(budgets)
     us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
     ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
     try:
@@ -114,7 +117,7 @@ def compare_allocations(
         raise ValueError(f"need at least two allocations to compare, got {len(allocations)}")
     options = options if options is not None else workload.options
     validated = [(name, validate_allocation(workload, allocation)) for name, allocation in allocations]
-    model = FirstOrderModel(workload, options.normalize_by_sensitivity)
+    model = _scorer(workload, options)
     scored = [(name, score_validated(model, workload, allocation, options, seed)) for name, allocation in validated]
     order = sorted(range(len(scored)), key=lambda i: scored[i][1].metric)
     return [

@@ -3,7 +3,7 @@ empirical errors against the closed-form predictions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -22,8 +22,8 @@ class StatisticErrorSummary:
     empirical_rmse: float
     predicted_rmse: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {"empirical_rmse": self.empirical_rmse, "predicted_rmse": self.predicted_rmse}
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,8 @@ class EquationErrorSummary:
     bias: float
     predicted_rmse: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "empirical_rmse": self.empirical_rmse,
-            "trimmed_rmse": self.trimmed_rmse,
-            "bias": self.bias,
-            "predicted_rmse": self.predicted_rmse,
-        }
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -51,13 +46,7 @@ class SimulationReport:
     per_equation: dict[str, EquationErrorSummary]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "rmse_reliable": self.rmse_reliable,
-            "per_statistic": {k: v.to_dict() for k, v in self.per_statistic.items()},
-            "per_equation": {k: v.to_dict() for k, v in self.per_equation.items()},
-        }
+        return asdict(self)
 
 
 def simulate_pipeline(workload: Workload, allocation: BudgetAllocation, trials: int, seed: int) -> SimulationReport:

@@ -1,0 +1,58 @@
+"""Golden bytes: the CLI reports on tests/data/paper4.json, compared byte for byte.
+
+The files under tests/data/golden/ were written by this module's
+``__main__`` at commit d1c7822 ("Stream --dump-trials through the Monte
+Carlo sink and drop simulate_with_series"). A refactor that is meant to
+leave every report unchanged must keep this test passing. A change that
+moves a value on purpose regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says in its commit which values moved, and by how much.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from dpbudget.cli import run_cli
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+_W = ["--workload", str(DATA / "paper4.json")]
+_UNIFORM = str(DATA / "uniform.json")
+_TUNED = str(DATA / "tuned.json")
+
+CASES = {
+    "score_uniform.json": ["score", *_W, "--allocation", _UNIFORM],
+    "score_uniform.csv": ["score", *_W, "--allocation", _UNIFORM, "--format", "csv"],
+    "score_tuned.json": ["score", *_W, "--allocation", _TUNED],
+    "score_tuned.csv": ["score", *_W, "--allocation", _TUNED, "--format", "csv"],
+    "compare.json": ["compare", *_W, _UNIFORM, _TUNED],
+    "optimize_descent.json": ["optimize", *_W, "--method", "descent"],
+    "optimize_grid.json": ["optimize", *_W, "--method", "grid"],
+    "simulate.json": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "2000", "--seed", "7"],
+}
+
+
+def _stdout(argv: list[str]) -> bytes:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = run_cli(argv)
+    assert code == 0
+    return buffer.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name):
+    assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        (GOLDEN / name).write_bytes(_stdout(argv))

@@ -13,7 +13,7 @@ from dpbudget import (
     sample_noise_batch,
 )
 from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, NonFiniteError
-from dpbudget.expressions import DIVISION_GUARD
+from dpbudget.expressions import DIVISION_GUARD, Binary, BinaryOp, StatRef
 from dpbudget.propagation import CHUNK, TRIM_PER_TAIL
 
 from helpers import allocation, fd_gradient, make_workload, safe_random_tree
@@ -58,6 +58,20 @@ def test_gradient_of_quotient_with_huge_denominator(numerator, denominator):
 def test_gradient_keeps_cancelled_references():
     gradient = gradient_at_reference(parse_expression("s1 - s1"), {"s1": 4.0})
     assert gradient == {"s1": 0.0}
+
+
+def test_gradient_of_a_long_sum_is_all_ones():
+    # One partial per distinct statistic: a gradient that merges per-node dicts is quadratic here.
+    ids = [f"s{i}" for i in range(20_000)]
+    gradient = gradient_at_reference(parse_expression(" + ".join(ids)), dict.fromkeys(ids, 10.0))
+    assert gradient == dict.fromkeys(ids, 1.0)
+
+
+def test_gradient_of_a_shared_node_sums_both_uses():
+    # The parser builds a fresh StatRef per mention; a hand-built tree may reuse one object.
+    x = StatRef("s1")
+    gradient = gradient_at_reference(Binary(BinaryOp.MUL, x, x), {"s1": 3.5})
+    assert gradient == {"s1": 7.0}
 
 
 def test_gradient_guards_reference_denominator():

@@ -11,6 +11,7 @@ from dpbudget import (
     simulate_pipeline,
 )
 from dpbudget.errors import HeavyTailWarning
+from dpbudget import propagation
 from dpbudget.propagation import CHUNK
 
 from helpers import allocation, make_workload, paper_workload
@@ -264,3 +265,28 @@ def test_montecarlo_score_with_huge_sensitivity_lands_on_its_normalized_value():
     report = score_allocation(workload, allocation(workload, 1.0), _montecarlo(10**5), seed=1)
     assert report.ue_terms["eq"] == pytest.approx(SQRT2, rel=0.02)
     assert report.metric == pytest.approx(2.0 * SQRT2, rel=0.01)
+
+
+def test_montecarlo_scores_build_no_jacobian(monkeypatch):
+    # The Monte Carlo route reads only the statistic coefficients and the equation norms.
+    def refuse(*args):
+        raise AssertionError("the Monte Carlo route built a Jacobian")
+
+    monkeypatch.setattr(propagation, "_jacobian_amplitudes", refuse)
+    workload = paper_workload()
+    tuned, uniform = allocation(workload, 0.1, 0.2, 0.3, 0.4), allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    report = score_allocation(workload, tuned, _montecarlo(2000), seed=4)
+    ranked = compare_allocations(workload, [("tuned", tuned), ("uniform", uniform)], _montecarlo(2000), seed=4)
+    assert {entry.name: entry.report for entry in ranked}["tuned"] == report
+    with pytest.raises(AssertionError, match="built a Jacobian"):
+        score_allocation(workload, tuned)
+
+
+def test_montecarlo_score_is_not_refused_for_an_overflowing_amplitude():
+    # s1's first-order amplitude at budget 1, sqrt(2) * 1e300 * 1e10, overflows; at budget 1e100 its rmse,
+    # sqrt(2) * 1e210, does not. The Monte Carlo route reads no amplitude, so it scores.
+    workload = make_workload(
+        epsilon=2e100, stats=(("s1", 1e10, 1e-90), ("s2", 1.0, 1e300)), equations=(("eq", "s1 * s2", 1.0),)
+    )
+    report = score_allocation(workload, allocation(workload, 1e100, 1e100), _montecarlo(10**4), seed=2)
+    assert report.ue_terms["eq"] == pytest.approx(SQRT2 * 1e210, rel=0.05)
