@@ -284,6 +284,11 @@ def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.nda
     with a substitute denominator of 1.0 so the rest of the batch survives.
     Returns an array, or a scalar when the tree is constant.
     """
+    return _evaluate_batch(_postorder(node), values, invalid)
+
+
+def _evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray], invalid: np.ndarray | None):
+    """evaluate_batch over a tree's ``_postorder`` list; ``invalid`` may be None for a tree without division."""
     import numpy as np  # here, so that parsing and validation never load numpy
 
     def divide(left, right):
@@ -293,7 +298,7 @@ def evaluate_batch(node: Expr, values: Mapping[str, np.ndarray], invalid: np.nda
             right = np.where(near_zero, 1.0, right)
         return left / right
 
-    return _evaluate(_postorder(node), values, np.asarray, divide)
+    return _evaluate(order, values, np.asarray, divide)
 
 
 def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable, operands: list | None = None):

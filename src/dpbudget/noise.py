@@ -64,18 +64,23 @@ def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) ->
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")
-    u = stream.random(count)
+    return _laplace_from_uniform(stream.random(count), scale)
+
+
+def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+    """Turns uniforms on [0, 1) into Laplace(scale) variates in place, and returns ``u``.
+
+    The bits equal -scale * sign(u - 0.5) * log1p(-2|u - 0.5|): negating or
+    copying a sign is exact, so scaling the magnitude first and copying the
+    sign of u - 0.5 last rounds the same way, and u = 0.5 still gives +0.0.
+    """
     u -= 0.5
-    sign = np.sign(u)
-    np.abs(u, out=u)
-    np.minimum(u, _U_LIMIT, out=u)
-    u *= -2.0
-    np.log1p(u, out=u)
-    # Multiplying by a sign is exact, so this order gives the same bits as
-    # -scale * sign * log1p(-2|u|).
-    u *= sign
-    u *= -scale
-    return u
+    magnitude = np.abs(u)
+    np.minimum(magnitude, _U_LIMIT, out=magnitude)
+    magnitude *= -2.0
+    np.log1p(magnitude, out=magnitude)
+    magnitude *= -scale
+    return np.copysign(magnitude, u, out=u)
 
 
 def sample_noise(scale: float, stream: np.random.Generator) -> float:

@@ -17,6 +17,7 @@ magnitude even after trimming.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -30,13 +31,11 @@ from .expressions import (
     Negate,
     StatRef,
     _evaluate,
+    _evaluate_batch,
     _guarded_divide,
     _postorder,
-    evaluate,
-    evaluate_batch,
-    free_statistics,
 )
-from .noise import noise_stream, sample_noise_batch
+from .noise import _laplace_from_uniform, noise_stream
 from .workload import MIN_MC_SAMPLES, BudgetAllocation, Workload, validate_allocation
 
 # Abort Monte Carlo when more than this fraction of samples divide by ~zero.
@@ -46,6 +45,11 @@ TRIM_PER_TAIL = 0.0005
 # Samples per Monte Carlo chunk. Fixed, never derived from threads or
 # memory: the chunking fixes the summation order, and so the report bytes.
 CHUNK = 1 << 14
+
+# Fewest streams a call must draw before a second thread draws its next chunk. A stream's chunk takes
+# ~0.1 ms to draw, and the thread's start, join and lock handoffs cost ~0.3-0.4 ms a chunk on 2 cores:
+# measured, 1-3 streams ran 10-40% slower with the thread and 4 broke even.
+_DRAW_AHEAD_STREAMS = 8
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -298,11 +302,14 @@ def replay_montecarlo(
     reads gets its stream ``noise_stream(seed, index)`` drawn once, in
     statistic order and in CHUNK-sample pieces; consecutive pieces of a
     stream equal one big draw, so trial ``t`` sees the same noise as in a
-    single release. Every expression is evaluated on each chunk and its
-    errors (output minus reference output) are summarized on the fly, so
-    memory is O(CHUNK x statistics + expressions x tail size). The chunk
-    size is fixed, which fixes the summation order and keeps reports
-    byte-identical. ``sink``, if given, receives each chunk's start index and
+    single release. When there is more than one chunk and at least
+    _DRAW_AHEAD_STREAMS streams, a second thread draws the next chunk's
+    uniforms while this one is evaluated; it is joined before the call
+    returns or raises, and results do not depend on it. Every expression
+    is evaluated on each chunk and its errors (output minus reference
+    output) are summarized on the fly, so memory is O(2 x CHUNK x
+    statistics + expressions x tail size). The chunk size is fixed, which
+    fixes the summation order and keeps reports byte-identical. ``sink``, if given, receives each chunk's start index and
     per-expression errors (NaN at excluded samples); none are kept after it.
 
     ``full[i]`` sizes expression i's summary to what its caller reports.
@@ -323,40 +330,67 @@ def replay_montecarlo(
             samples hit near-zero denominators.
     """
     refs = workload.reference_values()
-    reference_outputs = [evaluate(ast, refs) for _, ast in expressions]
+    # One postorder list per expression for the whole call: the reference output, the streams and every chunk read it.
+    plans = [_postorder(ast) for _, ast in expressions]
+    reference_outputs = [_evaluate(plan, refs, float, _guarded_divide) for plan in plans]
     for (label, _), output in zip(expressions, reference_outputs):
         if not math.isfinite(output):
             raise NonFiniteError(f"{label}: its value at the reference values is {output!r}")
-    used = set().union(*(free_statistics(ast) for _, ast in expressions))
+    used = {node.name for plan in plans for node in plan if type(node) is StatRef}
+    # Only an expression with a division can exclude samples, so only it gets an exclusion mask.
+    divides = [any(type(node) is Binary and node.op is BinaryOp.DIV for node in plan) for plan in plans]
     streams = [
         (spec.id, spec.reference_value, spec.sensitivity / allocation.budgets[spec.id], noise_stream(seed, index))
         for index, spec in enumerate(workload.statistics)
         if spec.id in used
     ]
+    generators = [stream for *_, stream in streams]
     summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) if keep else _SquareSum() for keep in full]
+    # With several chunks and enough streams, a second thread draws chunk c + 1 into a second buffer while
+    # chunk c is transformed and evaluated in the first. Philox is counter-based, so a variate's bits do not
+    # depend on the thread that draws it, and every float operation of the transform and the evaluation
+    # runs on this thread in the same order as with one buffer.
+    threaded = count > CHUNK and len(streams) >= _DRAW_AHEAD_STREAMS
+    buffers = [[np.empty(min(CHUNK, count)) for _ in streams]]
+    if threaded:
+        buffers.append([np.empty(CHUNK) for _ in streams])
+    _draw_uniforms(generators, buffers[0], min(CHUNK, count))
+    drawing = None
     # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, count, CHUNK):
-            size = min(CHUNK, count - start)
-            released = {}
-            for stat_id, reference, scale, stream in streams:
-                values = sample_noise_batch(scale, stream, size)
-                values += reference
-                released[stat_id] = values
-            chunk_errors = []
-            for (_, ast), reference_output, summary in zip(expressions, reference_outputs, summaries):
-                invalid = np.zeros(size, dtype=bool)
-                errors = np.asarray(evaluate_batch(ast, released, invalid), dtype=float) - reference_output
-                if errors.ndim == 0:
-                    errors = np.full(size, float(errors))
-                excluded = int(np.count_nonzero(invalid))
-                summary.add(errors[~invalid] if excluded else errors, excluded)
+        try:
+            for number, start in enumerate(range(0, count, CHUNK)):
+                size = min(CHUNK, count - start)
+                following = min(CHUNK, count - start - size)  # the next chunk's size; 0 after the last chunk
+                rows = buffers[number % len(buffers)]
+                drawing = _Draws(generators, buffers[(number + 1) % 2], following) if threaded and following else None
+                released = {}
+                for (stat_id, reference, scale, _), row in zip(streams, rows):
+                    values = _laplace_from_uniform(row[:size], scale)
+                    values += reference
+                    released[stat_id] = values
+                chunk_errors = []
+                for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, summaries):
+                    invalid = np.zeros(size, dtype=bool) if divide else None
+                    errors = np.asarray(_evaluate_batch(plan, released, invalid), dtype=float) - reference_output
+                    if errors.ndim == 0:
+                        errors = np.full(size, float(errors))
+                    excluded = int(np.count_nonzero(invalid)) if divide else 0
+                    summary.add(errors[~invalid] if excluded else errors, excluded)
+                    if sink is not None:
+                        if excluded:
+                            errors[invalid] = np.nan
+                        chunk_errors.append(errors)
                 if sink is not None:
-                    errors[invalid] = np.nan
-                    chunk_errors.append(errors)
-            if sink is not None:
-                sink(start, chunk_errors)
+                    sink(start, chunk_errors)
+                if drawing is not None:
+                    drawing.wait()
+                elif following:
+                    _draw_uniforms(generators, rows, following)
+        finally:
+            if drawing is not None:
+                drawing.join()
         for (label, _), summary in zip(expressions, summaries):
             if summary.excluded > HEAVY_TAIL_FRACTION * count:
                 raise HeavyTailWarning(
@@ -368,6 +402,34 @@ def replay_montecarlo(
                 raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {rmse!r})")
             results.append(summary.result(rmse))
     return results
+
+
+def _draw_uniforms(generators: list[np.random.Generator], rows: list[np.ndarray], size: int) -> None:
+    """The next ``size`` uniforms of each generator, into the start of its row."""
+    for generator, row in zip(generators, rows):
+        generator.random(out=row[:size])
+
+
+class _Draws(threading.Thread):
+    """_draw_uniforms on a thread of its own, started at once; ``wait`` joins it and re-raises what it raised.
+    Generator.random releases the GIL while it fills an array, so the draws overlap the caller's work."""
+
+    def __init__(self, generators: list[np.random.Generator], rows: list[np.ndarray], size: int):
+        super().__init__(name="dpbudget-draws")
+        self.draw = (generators, rows, size)
+        self.error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            _draw_uniforms(*self.draw)
+        except BaseException as error:
+            self.error = error
+
+    def wait(self) -> None:
+        self.join()
+        if self.error is not None:
+            raise self.error
 
 
 def _unscaled(value: float, shift: int) -> float:

@@ -2,7 +2,11 @@
 
 The files under tests/data/golden/ were written by this module's
 ``__main__`` at commit d1c7822 ("Stream --dump-trials through the Monte
-Carlo sink and drop simulate_with_series"). A refactor that is meant to
+Carlo sink and drop simulate_with_series"); the multi-chunk cases
+(``*_multichunk*``) at commit cae7f97 ("Compute every partial with one
+reverse sweep and drop the forward-mode gradient"). Those run the Monte
+Carlo kernel over several 16384-sample chunks, the last one partial, and
+the dump is stored as the sha256 of its bytes. A refactor that is meant to
 leave every report unchanged must keep this test passing. A change that
 moves a value on purpose regenerates the files with
 
@@ -14,11 +18,13 @@ and says in its commit which values moved, and by how much.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
+from dpbudget import propagation
 from dpbudget.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -36,7 +42,14 @@ CASES = {
     "optimize_descent.json": ["optimize", *_W, "--method", "descent"],
     "optimize_grid.json": ["optimize", *_W, "--method", "grid"],
     "simulate.json": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "2000", "--seed", "7"],
+    # Four chunks, the last one partial.
+    "simulate_multichunk.json": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "50010", "--seed", "7"],
+    "score_montecarlo_multichunk.json": [
+        "score", *_W, "--allocation", _UNIFORM, "--estimator", "montecarlo", "--mc-samples", "70000", "--seed", "3",
+    ],
 }
+# The --dump-trials file of simulate_multichunk.json's run, stored as its sha256 (the file is ~1 MB).
+DUMP_DIGEST = "simulate_multichunk_dump.sha256"
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -47,12 +60,37 @@ def _stdout(argv: list[str]) -> bytes:
     return buffer.getvalue().encode("utf-8")
 
 
+def _dump_digest(directory: Path) -> bytes:
+    """Runs simulate_multichunk.json's command with --dump-trials; returns the dump's sha256 line."""
+    dump = directory / "trials.csv"
+    assert _stdout([*CASES["simulate_multichunk.json"], "--dump-trials", str(dump)]) == (
+        _stdout(CASES["simulate_multichunk.json"])
+    )
+    return (hashlib.sha256(dump.read_bytes()).hexdigest() + "\n").encode("ascii")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
 
 
+def test_multichunk_dump_digest_matches_golden(tmp_path):
+    assert _dump_digest(tmp_path) == (GOLDEN / DUMP_DIGEST).read_bytes()
+
+
+def test_multichunk_bytes_match_golden_with_the_draw_ahead_thread(tmp_path, monkeypatch):
+    # paper4.json draws 4 streams, too few for the kernel's draw-ahead thread; these cases force it on.
+    monkeypatch.setattr(propagation, "_DRAW_AHEAD_STREAMS", 1)
+    for name in ("simulate_multichunk.json", "score_montecarlo_multichunk.json"):
+        assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert _dump_digest(tmp_path) == (GOLDEN / DUMP_DIGEST).read_bytes()
+
+
 if __name__ == "__main__":
+    import tempfile
+
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN / name).write_bytes(_stdout(argv))
+    with tempfile.TemporaryDirectory() as directory:
+        (GOLDEN / DUMP_DIGEST).write_bytes(_dump_digest(Path(directory)))

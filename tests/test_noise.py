@@ -14,6 +14,7 @@ from dpbudget import (
     sample_noise,
     sample_noise_batch,
 )
+from dpbudget.noise import _laplace_from_uniform
 
 from helpers import allocation, make_workload, paper_workload
 
@@ -128,6 +129,30 @@ def test_in_place_inverse_cdf_matches_reference_formula_bit_for_bit():
         u = noise_stream(seed, index).random(count) - 0.5
         expected = -scale * np.sign(u) * np.log1p(-2.0 * np.minimum(np.abs(u), 0.5 - 2.0**-54))
         assert np.array_equal(sample_noise_batch(scale, noise_stream(seed, index), count), expected)
+
+
+def _sign_product_laplace(uniforms, scale):
+    """The inverse CDF with a sign array and its product, step by step: -scale * sign * log1p(-2|u|)."""
+    u = uniforms - 0.5
+    sign = np.sign(u)
+    np.abs(u, out=u)
+    np.minimum(u, 0.5 - 2.0**-54, out=u)
+    u *= -2.0
+    np.log1p(u, out=u)
+    u *= sign
+    u *= -scale
+    return u
+
+
+def test_copied_sign_transform_equals_the_sign_product_bit_for_bit():
+    edges = np.array([0.0, 0.5, 2.0**-53, 0.5 - 2.0**-53, 0.5 + 2.0**-53, 1.0 - 2.0**-53])
+    seeded = noise_stream(20240601, 7).random(10**5)
+    for uniforms in (edges, seeded):
+        for scale in (1.0, 0.37, 250.0, 1e-300):
+            expected = _sign_product_laplace(uniforms, scale)
+            assert _laplace_from_uniform(uniforms.copy(), scale).tobytes() == expected.tobytes()
+    # u = 0.5 is the one zero draw, and it is +0.0.
+    assert math.copysign(1.0, float(_laplace_from_uniform(np.array([0.5]), 2.0)[0])) == 1.0
 
 
 def test_consecutive_chunks_of_a_stream_equal_one_draw():
