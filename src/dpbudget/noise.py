@@ -60,7 +60,8 @@ def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) ->
     """Draws ``count`` consecutive Laplace(scale) variates from a stream.
 
     Inverse-CDF construction: with u uniform on (-0.5, 0.5), the draw is
-    -scale * sign(u) * ln(1 - 2|u|).
+    -scale * sign(u) * ln(1 - 2|u|). Only ``stream.random(count)`` is
+    called; the Monte Carlo kernel passes uniforms it drew ahead that way.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale!r}")

@@ -31,11 +31,11 @@ from .expressions import (
     Negate,
     StatRef,
     _evaluate,
-    _evaluate_batch,
     _guarded_divide,
     _postorder,
+    evaluate_batch,
 )
-from .noise import _laplace_from_uniform, noise_stream
+from .noise import noise_stream, sample_noise_batch
 from .workload import MIN_MC_SAMPLES, BudgetAllocation, Workload, validate_allocation
 
 # Abort Monte Carlo when more than this fraction of samples divide by ~zero.
@@ -45,11 +45,6 @@ TRIM_PER_TAIL = 0.0005
 # Samples per Monte Carlo chunk. Fixed, never derived from threads or
 # memory: the chunking fixes the summation order, and so the report bytes.
 CHUNK = 1 << 14
-
-# Fewest streams a call must draw before a second thread draws its next chunk. A stream's chunk takes
-# ~0.1 ms to draw, and the thread's start, join and lock handoffs cost ~0.3-0.4 ms a chunk on 2 cores:
-# measured, 1-3 streams ran 10-40% slower with the thread and 4 broke even.
-_DRAW_AHEAD_STREAMS = 8
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -302,14 +297,14 @@ def replay_montecarlo(
     reads gets its stream ``noise_stream(seed, index)`` drawn once, in
     statistic order and in CHUNK-sample pieces; consecutive pieces of a
     stream equal one big draw, so trial ``t`` sees the same noise as in a
-    single release. When there is more than one chunk and at least
-    _DRAW_AHEAD_STREAMS streams, a second thread draws the next chunk's
-    uniforms while this one is evaluated; it is joined before the call
-    returns or raises, and results do not depend on it. Every expression
-    is evaluated on each chunk and its errors (output minus reference
-    output) are summarized on the fly, so memory is O(2 x CHUNK x
-    statistics + expressions x tail size). The chunk size is fixed, which
-    fixes the summation order and keeps reports byte-identical. ``sink``, if given, receives each chunk's start index and
+    single release. When there is more than one chunk, a second thread
+    draws the next chunk's uniforms while this one is evaluated; it is
+    joined before the call returns or raises, and results do not depend
+    on it. Every expression is evaluated on each chunk and its errors
+    (output minus reference output) are summarized on the fly, so memory
+    is O(2 x CHUNK x statistics + expressions x tail size). The chunk size
+    is fixed, which fixes the summation order and keeps reports
+    byte-identical. ``sink``, if given, receives each chunk's start index and
     per-expression errors (NaN at excluded samples); none are kept after it.
 
     ``full[i]`` sizes expression i's summary to what its caller reports.
@@ -346,34 +341,34 @@ def replay_montecarlo(
     ]
     generators = [stream for *_, stream in streams]
     summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) if keep else _SquareSum() for keep in full]
-    # With several chunks and enough streams, a second thread draws chunk c + 1 into a second buffer while
-    # chunk c is transformed and evaluated in the first. Philox is counter-based, so a variate's bits do not
-    # depend on the thread that draws it, and every float operation of the transform and the evaluation
-    # runs on this thread in the same order as with one buffer.
-    threaded = count > CHUNK and len(streams) >= _DRAW_AHEAD_STREAMS
-    buffers = [[np.empty(min(CHUNK, count)) for _ in streams]]
-    if threaded:
-        buffers.append([np.empty(CHUNK) for _ in streams])
+    # With several chunks, a second thread draws chunk c + 1 into a second buffer while chunk c is
+    # transformed and evaluated in the first. Philox is counter-based, so a variate's bits do not depend on
+    # the thread that draws it, and every float operation of the transform and the evaluation runs on this
+    # thread in the same order as with one buffer.
+    buffers = [[np.empty(min(CHUNK, count)) for _ in streams] for _ in range(1 + (count > CHUNK))]
     _draw_uniforms(generators, buffers[0], min(CHUNK, count))
-    drawing = None
+    drawer = None
     # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
         try:
+            if count > CHUNK:
+                drawer = _DrawAhead(generators)
             for number, start in enumerate(range(0, count, CHUNK)):
                 size = min(CHUNK, count - start)
                 following = min(CHUNK, count - start - size)  # the next chunk's size; 0 after the last chunk
-                rows = buffers[number % len(buffers)]
-                drawing = _Draws(generators, buffers[(number + 1) % 2], following) if threaded and following else None
+                rows = buffers[number % 2]
+                if following:
+                    drawer.draw(buffers[1 - number % 2], following)
                 released = {}
                 for (stat_id, reference, scale, _), row in zip(streams, rows):
-                    values = _laplace_from_uniform(row[:size], scale)
+                    values = sample_noise_batch(scale, _Drawn(row), size)
                     values += reference
                     released[stat_id] = values
                 chunk_errors = []
                 for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, summaries):
                     invalid = np.zeros(size, dtype=bool) if divide else None
-                    errors = np.asarray(_evaluate_batch(plan, released, invalid), dtype=float) - reference_output
+                    errors = np.asarray(evaluate_batch(plan, released, invalid), dtype=float) - reference_output
                     if errors.ndim == 0:
                         errors = np.full(size, float(errors))
                     excluded = int(np.count_nonzero(invalid)) if divide else 0
@@ -384,13 +379,11 @@ def replay_montecarlo(
                         chunk_errors.append(errors)
                 if sink is not None:
                     sink(start, chunk_errors)
-                if drawing is not None:
-                    drawing.wait()
-                elif following:
-                    _draw_uniforms(generators, rows, following)
+                if following:
+                    drawer.wait()
         finally:
-            if drawing is not None:
-                drawing.join()
+            if drawer is not None:
+                drawer.close()
         for (label, _), summary in zip(expressions, summaries):
             if summary.excluded > HEAVY_TAIL_FRACTION * count:
                 raise HeavyTailWarning(
@@ -410,26 +403,60 @@ def _draw_uniforms(generators: list[np.random.Generator], rows: list[np.ndarray]
         generator.random(out=row[:size])
 
 
-class _Draws(threading.Thread):
-    """_draw_uniforms on a thread of its own, started at once; ``wait`` joins it and re-raises what it raised.
-    Generator.random releases the GIL while it fills an array, so the draws overlap the caller's work."""
+class _Drawn:
+    """A stream's uniforms for the chunk at hand, drawn ahead into ``row``. It stands in for the stream in
+    sample_noise_batch: ``random(count)`` returns the first ``count`` of them, which the transform overwrites."""
 
-    def __init__(self, generators: list[np.random.Generator], rows: list[np.ndarray], size: int):
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def random(self, count: int) -> np.ndarray:
+        return self.row[:count]
+
+
+class _DrawAhead(threading.Thread):
+    """One call's draw-ahead thread, started at once. ``draw(rows, size)`` hands it the next chunk, which
+    it fills with _draw_uniforms while the caller works on the current one; ``wait`` blocks until that
+    draw is done and re-raises what it raised; ``close`` ends the thread and joins it. Generator.random
+    releases the GIL while it fills an array, so the draws overlap the caller's work. One thread per call,
+    not per chunk: on a 2-vCPU VM a start and join cost ~0.13 ms, a semaphore handoff ~0.04 ms."""
+
+    def __init__(self, generators: list[np.random.Generator]):
         super().__init__(name="dpbudget-draws")
-        self.draw = (generators, rows, size)
+        self.generators = generators
+        self.chunk: tuple[list[np.ndarray], int] | None = None  # what to draw next; None ends the thread
         self.error: BaseException | None = None
+        self.asked = threading.Semaphore(0)
+        self.drawn = threading.Semaphore(0)
         self.start()
 
     def run(self) -> None:
-        try:
-            _draw_uniforms(*self.draw)
-        except BaseException as error:
-            self.error = error
+        while True:
+            self.asked.acquire()
+            chunk = self.chunk
+            if chunk is None:
+                return
+            try:
+                _draw_uniforms(self.generators, *chunk)
+            except BaseException as error:
+                self.error = error
+            self.drawn.release()
+
+    def draw(self, rows: list[np.ndarray], size: int) -> None:
+        self.chunk = (rows, size)
+        self.asked.release()
 
     def wait(self) -> None:
-        self.join()
+        self.drawn.acquire()
         if self.error is not None:
             raise self.error
+
+    def close(self) -> None:
+        self.chunk = None
+        self.asked.release()
+        self.join()
 
 
 def _unscaled(value: float, shift: int) -> float:

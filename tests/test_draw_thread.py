@@ -1,5 +1,5 @@
 """The Monte Carlo kernel's draw-ahead thread: it never outlives a call, results do not depend on it,
-and calls of one chunk or of few streams start none."""
+a call of several chunks starts one and a call of one chunk starts none."""
 
 import csv
 import json
@@ -13,9 +13,9 @@ import pytest
 from dpbudget import allocation_to_dict, score_allocation, simulate_pipeline
 from dpbudget import propagation
 from dpbudget.cli import run_cli
-from dpbudget.propagation import _DRAW_AHEAD_STREAMS, CHUNK
+from dpbudget.propagation import CHUNK
 
-from helpers import allocation, make_workload, paper_workload
+from helpers import allocation, paper_workload
 from test_cli import module_env
 
 
@@ -34,15 +34,9 @@ def thread_starts(monkeypatch):
 
 
 def _montecarlo(samples):
-    """A workload whose every call draws _DRAW_AHEAD_STREAMS streams, the fewest that get the thread."""
-    n = _DRAW_AHEAD_STREAMS
-    workload = make_workload(
-        stats=tuple((f"s{i}", 1.0, 10.0 * i) for i in range(1, n + 1)),
-        equations=(("sum", " + ".join(f"s{i}" for i in range(1, n // 2 + 1)), 1.0),
-                   ("ratio", " * ".join(f"s{i}" for i in range(n // 2 + 1, n)) + f" / s{n}", 1.0)),
-        estimator="montecarlo", mc_samples=samples,
-    )
-    return workload, allocation(workload, *[1.0 / n] * n)
+    """The paper's workload (a sum and a quotient of four statistics), scored by Monte Carlo."""
+    workload = paper_workload(estimator="montecarlo", mc_samples=samples)
+    return workload, allocation(workload, 0.25, 0.25, 0.25, 0.25)
 
 
 def test_multichunk_calls_leave_no_thread_running(thread_starts):
@@ -52,25 +46,40 @@ def test_multichunk_calls_leave_no_thread_running(thread_starts):
     assert threading.active_count() == before
     simulate_pipeline(workload, alloc, 2 * CHUNK + 1, seed=7)
     assert threading.active_count() == before
-    # One draw-ahead thread per chunk after the first.
-    assert len(thread_starts) == 3 + 2
+    # One draw-ahead thread per call of several chunks.
+    assert thread_starts == ["dpbudget-draws"] * 2
 
 
-def test_single_chunk_and_few_stream_calls_start_no_thread(thread_starts):
+def test_single_chunk_calls_start_no_thread(thread_starts):
     workload, alloc = _montecarlo(1000)
     score_allocation(workload, alloc, seed=3)
     simulate_pipeline(workload, alloc, CHUNK, seed=7)
-    # The paper's workload draws 4 streams.
-    paper = paper_workload(estimator="montecarlo", mc_samples=3 * CHUNK)
-    score_allocation(paper, allocation(paper, 0.25, 0.25, 0.25, 0.25), seed=3)
     assert thread_starts == []
 
 
-def test_reports_do_not_depend_on_the_draw_ahead_thread(monkeypatch):
+class _DrawsInline:
+    """Stands in for the draw-ahead thread: each chunk is drawn on the calling thread when it is asked for."""
+
+    def __init__(self, generators):
+        self.generators = generators
+
+    def draw(self, rows, size):
+        propagation._draw_uniforms(self.generators, rows, size)
+
+    def wait(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def test_reports_do_not_depend_on_the_draw_ahead_thread(monkeypatch, thread_starts):
     workload, alloc = _montecarlo(3 * CHUNK + 17)
     threaded = score_allocation(workload, alloc, seed=5), simulate_pipeline(workload, alloc, 2 * CHUNK + 9, seed=6)
-    monkeypatch.setattr(propagation, "_DRAW_AHEAD_STREAMS", _DRAW_AHEAD_STREAMS + 1)
+    assert len(thread_starts) == 2
+    monkeypatch.setattr(propagation, "_DrawAhead", _DrawsInline)
     inline = score_allocation(workload, alloc, seed=5), simulate_pipeline(workload, alloc, 2 * CHUNK + 9, seed=6)
+    assert len(thread_starts) == 2
     assert threaded == inline
 
 
