@@ -6,8 +6,10 @@
 * grid_search: exhaustive lattice search, the oracle for small instances.
 * optimize_descent: majorize-minimize from uniform, for coupled equations.
 
-The optimizers work in shares of epsilon, where the metric at budgets b is
-f(b / epsilon) / epsilon, so no scale of epsilon over- or underflows them.
+The optimizers work in shares u = b / epsilon on the model's coefficients,
+which are stored per budget unit (the smallest power of four not below
+epsilon): the metric at budgets b is f(u) / (epsilon / unit), so no scale of
+epsilon over- or underflows them.
 The square-root rule and descent share one solve (_surrogate_minimum). Each
 result satisfies the sum constraint and the floor, and reports the
 Frank-Wolfe gap, an upper bound on its metric's distance to the minimum.
@@ -50,7 +52,8 @@ class OptimizationResult:
 
 class _Objective:
     """The closed-form metric under ``options`` in shares u = b / epsilon of the budget:
-    f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, and the metric at budgets b is f(b / epsilon) / epsilon.
+    f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, with c and the amplitudes per the model's budget unit,
+    and the metric at budgets b is f(b / epsilon) / (epsilon / unit).
 
     sigma_j is the 2-norm of a_ji / u_i over the amplitudes a_ji; one-statistic equations
     (sigma_j = a_ji / u_i) are folded into c as r = a / n. As sigma <= sigma^2 / (2t) + t / 2, equal at
@@ -90,7 +93,7 @@ def _result(workload: Workload, objective: _Objective, shares: np.ndarray, **fie
     allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
     metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
     with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
-        gap = objective.evaluate(shares)[1] / workload.epsilon
+        gap = objective.evaluate(shares)[1] / (workload.epsilon / objective.model.unit)
     if not math.isfinite(gap):
         raise NonFiniteError(f"the optimality gap overflows at this allocation ({gap!r}): its budgets are too small")
     return OptimizationResult(allocation=allocation, metric=metric, gap=gap, **fields)
@@ -245,7 +248,8 @@ def objective_gradient(
     objective = _Objective(workload, options)
     budgets = budget_vector(workload, allocation)
     with np.errstate(all="ignore"):  # overflow gives a non-finite partial, refused below; b * epsilon may overflow
-        gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / workload.epsilon
+        scale = workload.epsilon / objective.model.unit  # exact: unit is a power of two
+        gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / scale
     if not np.isfinite(gradient).all():
         raise NonFiniteError("the metric's gradient overflows at this allocation: its budgets are too small")
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,9 @@ if TYPE_CHECKING:
     from .allocator import OptimizationResult
     from .scoring import RankedAllocation, UtilityReport
     from .simulation import SimulationReport
+
+# Cells of the trial dump formatted at once; at 1300 columns, a slice of 25 rows.
+_DUMP_CELLS = 1 << 15
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -330,15 +334,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             writer = csv.writer(handle, lineterminator="\n")
             stat_keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
             writer.writerow(["trial", *stat_keys, *(f"eq:{equation.id}" for equation in workload.equations)])
-
-            def write_chunk(start: int, chunk_errors) -> None:
-                # Each column is converted in one pass: repr of each value, an empty cell for an excluded (NaN) trial.
-                columns = [["" if x != x else repr(x) for x in errors.tolist()] for errors in chunk_errors]
-                writer.writerows(zip(range(start, start + len(columns[0])), *columns))
-
-            report = _simulate(workload, allocation, args.trials, args.seed, write_chunk)
+            sink = functools.partial(_write_trial_rows, handle)
+            report = _simulate(workload, allocation, args.trials, args.seed, sink)
     _print_simulation(report, args.format)
     return EXIT_OK
+
+
+def _write_trial_rows(handle, start: int, chunk_errors) -> None:
+    """Writes a chunk's ``--dump-trials`` rows (trial number, then one cell per column), _DUMP_CELLS cells
+    at a time as one string, so memory holds a slice's text, not the chunk's. A cell is the value's repr,
+    empty for an excluded (NaN) trial; none needs CSV quoting."""
+    import numpy as np
+
+    size = chunk_errors[0].size
+    step = max(1, _DUMP_CELLS // len(chunk_errors))
+    gapped = [column for column, errors in enumerate(chunk_errors) if np.isnan(errors).any()]
+    for low in range(0, size, step):
+        high = min(low + step, size)
+        cells = [list(map(repr, errors[low:high].tolist())) for errors in chunk_errors]
+        for column in gapped:
+            for row in np.flatnonzero(np.isnan(chunk_errors[column][low:high])).tolist():
+                cells[column][row] = ""
+        handle.write("\n".join(map(",".join, zip(map(str, range(start + low, start + high)), *cells))) + "\n")
 
 
 @contextlib.contextmanager

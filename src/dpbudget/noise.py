@@ -60,27 +60,37 @@ def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) ->
     """Draws ``count`` consecutive Laplace(scale) variates from a stream.
 
     Inverse-CDF construction: with u uniform on (-0.5, 0.5), the draw is
-    -scale * sign(u) * ln(1 - 2|u|). Only ``stream.random(count)`` is
-    called; the Monte Carlo kernel passes uniforms it drew ahead that way.
+    -scale * sign(u) * ln(1 - 2|u|). The Monte Carlo kernel makes the same
+    variates, bit for bit: it draws each stream with ``random`` and applies
+    the same transform to a block of streams at once.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    _check_scale(scale)
     return _laplace_from_uniform(stream.random(count), scale)
 
 
-def _laplace_from_uniform(u: np.ndarray, scale: float) -> np.ndarray:
+def _check_scale(scale: float) -> None:
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale!r}")
+
+
+def _laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray, magnitude: np.ndarray | None = None) -> np.ndarray:
     """Turns uniforms on [0, 1) into Laplace(scale) variates in place, and returns ``u``.
 
     The bits equal -scale * sign(u - 0.5) * log1p(-2|u - 0.5|): negating or
     copying a sign is exact, so scaling the magnitude first and copying the
     sign of u - 0.5 last rounds the same way, and u = 0.5 still gives +0.0.
+    ``scale`` is a float or an array that broadcasts against ``u``, such as
+    a column of per-row scales for a 2-D block of streams. |u| is written
+    into ``magnitude``, an array shaped like ``u``, if given; then nothing
+    is allocated.
     """
     u -= 0.5
-    magnitude = np.abs(u)
+    magnitude = np.abs(u, out=magnitude)
     np.minimum(magnitude, _U_LIMIT, out=magnitude)
     magnitude *= -2.0
     np.log1p(magnitude, out=magnitude)
-    magnitude *= -scale
+    # log1p is <= 0 here and copysign keeps only the magnitude, so scaling by +scale gives -scale's bits.
+    magnitude *= scale
     return np.copysign(magnitude, u, out=u)
 
 

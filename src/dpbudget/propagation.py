@@ -4,20 +4,17 @@ Two routes are provided and meant to cross-check each other: a first-order
 (delta-method) analytic prediction, exact for linear equations, and a
 seeded Monte Carlo estimate that replays noisy releases through the
 equation. The Monte Carlo report includes a symmetrically trimmed rmse
-because quotients of noisy values can have very heavy tails.
-
-For quotients the first-order prediction is reliable only when each
-denominator's reference value lies many noise standard deviations from
-zero. When it lies only a few away (around 3.5), the noisy
-denominator crosses zero with non-negligible probability, the true
-variance is infinite, and the two routes disagree by an order of
-magnitude even after trimming.
+because quotients of noisy values can have very heavy tails: when a
+denominator's reference value lies only a few noise standard deviations
+from zero (around 3.5), the true variance is infinite, and the two routes
+disagree by an order of magnitude even after trimming.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -35,7 +32,7 @@ from .expressions import (
     _postorder,
     evaluate_batch,
 )
-from .noise import noise_stream, sample_noise_batch
+from .noise import _check_scale, _laplace_from_uniform, noise_stream
 from .workload import MIN_MC_SAMPLES, BudgetAllocation, Workload, validate_allocation
 
 # Abort Monte Carlo when more than this fraction of samples divide by ~zero.
@@ -45,6 +42,9 @@ TRIM_PER_TAIL = 0.0005
 # Samples per Monte Carlo chunk. Fixed, never derived from threads or
 # memory: the chunking fixes the summation order, and so the report bytes.
 CHUNK = 1 << 14
+# Values per group of noise streams: 4 streams of a full chunk, 512 KB, which a 2 MB L2 cache holds
+# from the draw through the transform.
+_GROUP_VALUES = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -71,16 +71,12 @@ class PropagationResult:
 
 
 def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, float]:
-    """Exact partial derivatives of the expression at the reference point.
-
-    Computed by one reverse sweep over the tree (reverse-mode
-    differentiation), in time linear in its size; the result has one entry
-    per referenced statistic (zero entries included, e.g. for "s1 - s1").
+    """Exact partial derivatives of the expression at the reference point, one entry per referenced
+    statistic (zero entries included, e.g. for "s1 - s1"), by one reverse sweep in time linear in its size.
 
     Raises:
         MissingValueError: a referenced id has no reference value.
-        DivisionNearZeroError: a denominator magnitude at the reference
-            point falls below DIVISION_GUARD.
+        DivisionNearZeroError: a denominator magnitude at the reference point falls below DIVISION_GUARD.
     """
     return _value_and_partials(ast, refs)[1]
 
@@ -115,18 +111,30 @@ def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, di
     return value, partials
 
 
+def _budget_unit(epsilon: float) -> float:
+    """The smallest power of four not below epsilon (2**1022 at most). The closed form stores its
+    coefficients per this unit and reads budgets in it (b / unit). A budget is at most epsilon, so a
+    coefficient is at most a score it adds to, and is finite wherever the scores are. Dividing by a power
+    of two is exact, so a score keeps every bit; a power of four keeps the optimizers' square roots exact."""
+    mantissa, exponent = math.frexp(epsilon)
+    power = exponent - 1 if mantissa == 0.5 else exponent  # the smallest power of two not below epsilon
+    return math.ldexp(1.0, min(power + power % 2, 1022))
+
+
 class _Scales:
-    """What every route's scores read besides the equation rmses: each statistic's coefficient
-    sqrt(2) * sensitivity (sqrt(2) under normalization), whose quotient by its budget is the
-    statistic's score, and each equation's norm (its sensitivity under normalization, else 1)."""
+    """What every route's scores read besides the equation rmses: the budget ``unit`` (_budget_unit),
+    each statistic's coefficient sqrt(2) * sensitivity / unit (sqrt(2) / unit under normalization),
+    whose quotient by its budget in units is the statistic's score, and each equation's norm (its
+    sensitivity under normalization, else 1)."""
 
     def __init__(self, workload: Workload, normalize: bool):
-        sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
-        self.us_coeff = np.full(sens.size, _SQRT2) if normalize else _SQRT2 * sens
+        self.unit = _budget_unit(workload.epsilon)
+        sens = np.array([spec.sensitivity / self.unit for spec in workload.statistics], dtype=float)
+        self.us_coeff = np.full(sens.size, _SQRT2 / self.unit) if normalize else _SQRT2 * sens
         self.norms = np.array([eq.sensitivity if normalize else 1.0 for eq in workload.equations], dtype=float)
 
     def statistic_terms(self, budgets: np.ndarray) -> np.ndarray:
-        """Per-statistic scores at a budget vector, or a batch with statistics on the last axis; inf on overflow."""
+        """Per-statistic scores at budgets in units (b / unit), or a batch with statistics last; inf on overflow."""
         with np.errstate(over="ignore"):
             return self.us_coeff / budgets
 
@@ -134,26 +142,24 @@ class _Scales:
 class FirstOrderModel(_Scales):
     """Sparse first-order (closed-form) metric of a workload over budget vectors.
 
-    Built once per public call from one gradient per equation. For every
-    nonzero partial g of equation j in statistic i it stores the row j, the
-    column i and the amplitude sqrt(2) * |g| * sensitivity_i, so equation j's
-    predicted rmse at budgets b is the 2-norm of amplitude / b_i over its
-    row (``_row_norms``). Cost is linear in the Jacobian's nonzeros. Budget
-    vectors are indexed in workload-statistic order and are not validated. An
-    equation's value at the reference values or amplitude that overflows (or
-    is NaN) raises NonFiniteError naming the equation.
+    Built once per public call from one gradient per equation. For every nonzero partial g of equation j in
+    statistic i it stores the row j, the column i and the amplitude sqrt(2) * |g| * (sensitivity_i / unit),
+    so equation j's predicted rmse at budgets b is the 2-norm of amplitude / (b_i / unit) over its row
+    (``_row_norms``). Cost is linear in the Jacobian's nonzeros. Budget vectors, in units and in
+    workload-statistic order, are not validated. An equation's value at the reference values or amplitude
+    that overflows (or is NaN) raises NonFiniteError naming it.
     """
 
     def __init__(self, workload: Workload, normalize: bool):
         super().__init__(workload, normalize)
         equations = workload.equations
         self.rows, self.cols, self.amplitudes, self.starts = _jacobian_amplitudes(
-            workload, [eq.expression for eq in equations], lambda row: f"equation {equations[row].id!r}"
+            workload, [eq.expression for eq in equations], lambda row: f"equation {equations[row].id!r}", self.unit
         )
         self.n_eq = len(workload.equations)
 
     def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-statistic and per-equation scores (the report's us/ue terms) at a budget vector,
+        """Per-statistic and per-equation scores (the report's us/ue terms) at a vector of budgets in units,
         or at a batch with statistics on the last axis; inf where one overflows (then NonFiniteError)."""
         with np.errstate(over="ignore"):
             # In place, and each temporary dropped before the next: a grid batch is large.
@@ -177,14 +183,12 @@ def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarra
 
 
 def _jacobian_amplitudes(
-    workload: Workload, expressions: list[Expr], label: Callable[[int], str]
+    workload: Workload, expressions: list[Expr], label: Callable[[int], str], unit: float
 ) -> tuple[np.ndarray, ...]:
-    """Flat (row, column, sqrt(2) * |g| * sensitivity) arrays of the nonzero partials, and where each row starts.
-
-    Entries run by expression, then by statistic index: that order fixes the
-    order of every sum over a row, and so keeps every report byte-identical.
-    A value at the reference values or an amplitude that is not finite raises
-    NonFiniteError naming the expression by ``label(row)``.
+    """Flat (row, column, sqrt(2) * |g| * (sensitivity / unit)) arrays of the nonzero partials, and where
+    each row starts. Entries run by expression, then by statistic index: that order fixes the order of every
+    sum over a row, and so keeps every report byte-identical. A value at the reference values or an
+    amplitude that is not finite raises NonFiniteError naming the expression by ``label(row)``.
     """
     refs = workload.reference_values()
     index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
@@ -202,7 +206,7 @@ def _jacobian_amplitudes(
     order = np.lexsort((cols, rows))
     order = order[partial_array[order] != 0.0]
     row_array, col_array = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
-    sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+    sens = np.array([spec.sensitivity / unit for spec in workload.statistics], dtype=float)
     with np.errstate(over="ignore"):
         amplitudes = _SQRT2 * np.abs(partial_array[order]) * sens[col_array]
     overflowed = np.flatnonzero(~np.isfinite(amplitudes))
@@ -230,18 +234,17 @@ def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows:
 def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: BudgetAllocation) -> PropagationResult:
     """First-order prediction of the equation's output-noise variance.
 
-    Each statistic's noise is an independent Laplace draw, so the
-    linearized variance is the gradient-weighted sum of the per-statistic
-    variances. Exact when the expression is linear in the statistics.
-    For a quotient it is reliable only when the denominator's reference
-    value is many noise standard deviations from zero; near 3.5 of them
-    the true variance is infinite and this prediction understates it.
-    A value at the reference values or a variance that overflows is NonFiniteError.
+    Each statistic's noise is an independent Laplace draw, so the linearized variance is the
+    gradient-weighted sum of the per-statistic variances. Exact when the expression is linear in the
+    statistics. For a quotient it is reliable only when the denominator's reference value is many noise
+    standard deviations from zero; near 3.5 of them the true variance is infinite and this prediction
+    understates it. A value at the reference values or a variance that overflows is NonFiniteError.
     """
     allocation = validate_allocation(workload, allocation)
-    rows, cols, amplitudes, starts = _jacobian_amplitudes(workload, [ast], lambda row: "expression")
+    unit = _budget_unit(workload.epsilon)
+    rows, cols, amplitudes, starts = _jacobian_amplitudes(workload, [ast], lambda row: "expression", unit)
     with np.errstate(over="ignore"):
-        rmse = float(_row_norms(amplitudes / budget_vector(workload, allocation)[cols], rows, starts, 1)[0])
+        rmse = float(_row_norms(amplitudes / (budget_vector(workload, allocation) / unit)[cols], rows, starts, 1)[0])
     if not math.isfinite(rmse * rmse):
         raise NonFiniteError(f"the predicted variance overflows at this allocation ({rmse * rmse!r})")
     return PropagationResult(variance=rmse * rmse, rmse=rmse, method="analytic")
@@ -256,21 +259,18 @@ def propagate_variance_montecarlo(
 ) -> PropagationResult:
     """Monte Carlo estimate of the equation's output-noise distribution.
 
-    Draws ``samples`` joint noise vectors, evaluates the expression at
-    reference-plus-noise and at the reference, and summarizes the
-    differences. Deterministic per seed. Samples whose denominators come
-    within DIVISION_GUARD of zero are excluded; if more than
-    HEAVY_TAIL_FRACTION of them do, the run aborts.
+    Draws ``samples`` joint noise vectors, evaluates the expression at reference-plus-noise and at the
+    reference, and summarizes the differences. Deterministic per seed. Samples whose denominators come
+    within DIVISION_GUARD of zero are excluded; if more than HEAVY_TAIL_FRACTION of them do, the run aborts.
 
     Raises:
         HeavyTailWarning: too many excluded samples.
-        DivisionNearZeroError: the expression is degenerate at the
-            reference point itself.
+        DivisionNearZeroError: the expression is degenerate at the reference point itself.
         NonFiniteError: an error, or the variance of the errors, overflows.
     """
     allocation = validate_allocation(workload, allocation)
     check_mc_samples(samples)
-    result = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [True])[0]
+    result = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [_ErrorSummary])[0]
     if not math.isfinite(result.variance):
         raise NonFiniteError(f"expression: its Monte Carlo variance overflows ({result.variance!r})")
     return result
@@ -287,42 +287,31 @@ def replay_montecarlo(
     expressions: Sequence[tuple[str, Expr]],
     count: int,
     seed: int,
-    full: Sequence[bool],
+    summaries: Sequence[type[_SquareSum]],
     sink: Callable[[int, list[np.ndarray]], None] | None = None,
-) -> list[PropagationResult | float]:
+) -> list:
     """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
 
-    ``expressions`` holds (label, tree) pairs; the label names an
-    expression in the heavy-tail error. Each statistic any expression
-    reads gets its stream ``noise_stream(seed, index)`` drawn once, in
-    statistic order and in CHUNK-sample pieces; consecutive pieces of a
-    stream equal one big draw, so trial ``t`` sees the same noise as in a
-    single release. When there is more than one chunk, a second thread
-    draws the next chunk's uniforms while this one is evaluated; it is
-    joined before the call returns or raises, and results do not depend
-    on it. Every expression is evaluated on each chunk and its errors
-    (output minus reference output) are summarized on the fly, so memory
-    is O(2 x CHUNK x statistics + expressions x tail size). The chunk size
-    is fixed, which fixes the summation order and keeps reports
-    byte-identical. ``sink``, if given, receives each chunk's start index and
-    per-expression errors (NaN at excluded samples); none are kept after it.
+    ``expressions`` holds (label, tree) pairs; the label names an expression in the errors below. Each
+    statistic any expression reads gets its stream ``noise_stream(seed, index)``, drawn once in
+    CHUNK-sample pieces, so trial ``t`` sees the same noise as in a single release. This thread and, unless
+    the call is one chunk of one group of streams, a helper thread produce each chunk's noise (_Noise); the
+    helper is joined before the call returns or raises, and results do not depend on it. Every expression
+    is evaluated on each chunk, on this thread, and its errors (output minus reference output) are
+    summarized on the fly: memory is O(2 x CHUNK x statistics + expressions x tail size). The fixed chunk
+    size fixes the summation order, and so the report bytes. ``sink``, if given, receives each chunk's
+    start index and per-expression errors (NaN at excluded samples).
 
-    ``full[i]`` sizes expression i's summary to what its caller reports.
-    False keeps only the sum of squared errors (_SquareSum), and the
-    result is the rmse, a float. True keeps the full summary (_ErrorSummary):
-    a PropagationResult with the variance, bias and trimmed rmse as well.
-    Both scale their sums by a power of two where squares would overflow,
-    so an rmse is inf only when an error itself is; the variance can still
-    overflow, and a caller that reports it checks it.
-
-    The allocation must already be validated and ``count`` be at least 1.
+    ``summaries[i]`` is expression i's summary type, sized to what its caller reports; its ``result`` is
+    what the kernel returns for it: the rmse (_SquareSum), (rmse, MonteCarloDetail) (_TailSummary) or a
+    PropagationResult with the variance (_ErrorSummary). An rmse is inf only when an error is; a caller
+    that reports the variance checks it. The allocation must be validated and ``count`` at least 1.
 
     Raises:
         DivisionNearZeroError: an expression is degenerate at the reference.
-        NonFiniteError: an expression's value at the reference, or the
-            rmse of its errors, overflows (or is NaN).
-        HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's
-            samples hit near-zero denominators.
+        NonFiniteError: an expression's value at the reference, or its errors' rmse, overflows (or is NaN).
+        HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's samples hit near-zero denominators.
+        ValueError: a noise scale (sensitivity / budget) underflows to 0.
     """
     refs = workload.reference_values()
     # One postorder list per expression for the whole call: the reference output, the streams and every chunk read it.
@@ -334,39 +323,23 @@ def replay_montecarlo(
     used = {node.name for plan in plans for node in plan if type(node) is StatRef}
     # Only an expression with a division can exclude samples, so only it gets an exclusion mask.
     divides = [any(type(node) is Binary and node.op is BinaryOp.DIV for node in plan) for plan in plans]
-    streams = [
-        (spec.id, spec.reference_value, spec.sensitivity / allocation.budgets[spec.id], noise_stream(seed, index))
-        for index, spec in enumerate(workload.statistics)
-        if spec.id in used
-    ]
-    generators = [stream for *_, stream in streams]
-    summaries = [_ErrorSummary(int(count * TRIM_PER_TAIL)) if keep else _SquareSum() for keep in full]
-    # With several chunks, a second thread draws chunk c + 1 into a second buffer while chunk c is
-    # transformed and evaluated in the first. Philox is counter-based, so a variate's bits do not depend on
-    # the thread that draws it, and every float operation of the transform and the evaluation runs on this
-    # thread in the same order as with one buffer.
-    buffers = [[np.empty(min(CHUNK, count)) for _ in streams] for _ in range(1 + (count > CHUNK))]
-    _draw_uniforms(generators, buffers[0], min(CHUNK, count))
-    drawer = None
+    specs = [(index, spec) for index, spec in enumerate(workload.statistics) if spec.id in used]
+    kept = [summary(count) for summary in summaries]
+    sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
+        # Made inside this block, the helper runs under its np.errstate (numpy keeps one per thread).
+        noise = _Noise(specs, allocation, seed, sizes)
         try:
-            if count > CHUNK:
-                drawer = _DrawAhead(generators)
-            for number, start in enumerate(range(0, count, CHUNK)):
-                size = min(CHUNK, count - start)
-                following = min(CHUNK, count - start - size)  # the next chunk's size; 0 after the last chunk
-                rows = buffers[number % 2]
-                if following:
-                    drawer.draw(buffers[1 - number % 2], following)
-                released = {}
-                for (stat_id, reference, scale, _), row in zip(streams, rows):
-                    values = sample_noise_batch(scale, _Drawn(row), size)
-                    values += reference
-                    released[stat_id] = values
+            noise.post(0, sizes[0])
+            for number, size in enumerate(sizes):
+                noise.fill()
+                if number + 1 < len(sizes):
+                    noise.post(number + 1, sizes[number + 1])
+                released = dict(zip([spec.id for _, spec in specs], noise.buffers[number % 2][:, :size]))
                 chunk_errors = []
-                for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, summaries):
+                for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, kept):
                     invalid = np.zeros(size, dtype=bool) if divide else None
                     errors = np.asarray(evaluate_batch(plan, released, invalid), dtype=float) - reference_output
                     if errors.ndim == 0:
@@ -378,13 +351,10 @@ def replay_montecarlo(
                             errors[invalid] = np.nan
                         chunk_errors.append(errors)
                 if sink is not None:
-                    sink(start, chunk_errors)
-                if following:
-                    drawer.wait()
+                    sink(number * CHUNK, chunk_errors)
         finally:
-            if drawer is not None:
-                drawer.close()
-        for (label, _), summary in zip(expressions, summaries):
+            noise.close()
+        for (label, _), summary in zip(expressions, kept):
             if summary.excluded > HEAVY_TAIL_FRACTION * count:
                 raise HeavyTailWarning(
                     f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
@@ -397,66 +367,90 @@ def replay_montecarlo(
     return results
 
 
-def _draw_uniforms(generators: list[np.random.Generator], rows: list[np.ndarray], size: int) -> None:
+def _draw_uniforms(generators: list[np.random.Generator], rows: np.ndarray, size: int) -> None:
     """The next ``size`` uniforms of each generator, into the start of its row."""
     for generator, row in zip(generators, rows):
         generator.random(out=row[:size])
 
 
-class _Drawn:
-    """A stream's uniforms for the chunk at hand, drawn ahead into ``row``. It stands in for the stream in
-    sample_noise_batch: ``random(count)`` returns the first ``count`` of them, which the transform overwrites."""
+class _Noise:
+    """One call's noise, produced chunk by chunk into one of two (streams x CHUNK) buffers by this thread
+    and, unless the call is one chunk of one group, one helper thread, started here and joined in ``close``.
 
-    __slots__ = ("row",)
+    ``post`` puts a chunk's groups of ceil(_GROUP_VALUES / size) streams in ``pending``, a deque: this thread
+    claims them from its front in ``fill``, the helper from its back, each pop atomic. ``produce`` draws a
+    group's rows, turns that block into Laplace variates in place (|u| in the thread's scratch) and adds the
+    reference values. ``fill`` returns once the helper is done too, re-raising what it raised; only then is
+    the next chunk posted, so each stream is drawn once per chunk, in chunk order, and the helper starts chunk
+    c + 1 before chunk c is evaluated. It runs under the caller's np.errstate, allocates no array and calls
+    nothing the benchmark traces; Generator.random and numpy's ufuncs release the GIL, so the threads overlap.
+    """
 
-    def __init__(self, row: np.ndarray):
-        self.row = row
+    def __init__(self, specs: list, allocation: BudgetAllocation, seed: int, sizes: list[int]):
+        scales = [spec.sensitivity / allocation.budgets[spec.id] for _, spec in specs]
+        for scale in scales:
+            _check_scale(scale)
+        self.generators = [noise_stream(seed, index) for index, _ in specs]
+        self.scales = np.array(scales, dtype=float)[:, None]
+        self.references = np.array([spec.reference_value for _, spec in specs], dtype=float)[:, None]
+        self.buffers = [np.empty((len(specs), sizes[0])) for _ in sizes[:2]]
+        # One per thread, the caller's first; a group holds fewer than _GROUP_VALUES + sizes[0] values.
+        self.scratch = [np.empty(min(len(specs) * sizes[0], _GROUP_VALUES + sizes[0])) for _ in range(2)]
+        self.pending: deque[int] = deque()
+        self.woken, self.idle = threading.Semaphore(0), threading.Semaphore(0)
+        self.closed, self.error, self.errstate = False, None, np.geterr()
+        self.helper = None
+        if len(sizes) > 1 or len(specs) > -(-_GROUP_VALUES // sizes[0]):
+            self.helper = threading.Thread(target=self._help, name="dpbudget-draws")
+            self.helper.start()
 
-    def random(self, count: int) -> np.ndarray:
-        return self.row[:count]
+    def post(self, number: int, size: int) -> None:
+        """Opens chunk ``number`` and wakes the helper, which is idle: it finished the last chunk in ``fill``."""
+        self.rows, self.size, self.group = self.buffers[number % 2], size, -(-_GROUP_VALUES // size)
+        self.pending.extend(range(-(-len(self.generators) // self.group)))
+        self.woken.release()
 
+    def claim(self, from_back: bool) -> int | None:
+        try:
+            return self.pending.pop() if from_back else self.pending.popleft()
+        except IndexError:
+            return None
 
-class _DrawAhead(threading.Thread):
-    """One call's draw-ahead thread, started at once. ``draw(rows, size)`` hands it the next chunk, which
-    it fills with _draw_uniforms while the caller works on the current one; ``wait`` blocks until that
-    draw is done and re-raises what it raised; ``close`` ends the thread and joins it. Generator.random
-    releases the GIL while it fills an array, so the draws overlap the caller's work. One thread per call,
-    not per chunk: on a 2-vCPU VM a start and join cost ~0.13 ms, a semaphore handoff ~0.04 ms."""
+    def produce(self, group: int, scratch: np.ndarray) -> None:
+        rows = slice(group * self.group, (group + 1) * self.group)
+        block = self.rows[rows, : self.size]
+        _draw_uniforms(self.generators[rows], block, self.size)
+        _laplace_from_uniform(block, self.scales[rows], scratch[: block.size].reshape(block.shape))
+        block += self.references[rows]
 
-    def __init__(self, generators: list[np.random.Generator]):
-        super().__init__(name="dpbudget-draws")
-        self.generators = generators
-        self.chunk: tuple[list[np.ndarray], int] | None = None  # what to draw next; None ends the thread
-        self.error: BaseException | None = None
-        self.asked = threading.Semaphore(0)
-        self.drawn = threading.Semaphore(0)
-        self.start()
+    def fill(self) -> None:
+        while (group := self.claim(False)) is not None:
+            self.produce(group, self.scratch[0])
+        if self.helper is not None:
+            self.idle.acquire()
+            if self.error is not None:
+                raise self.error
 
-    def run(self) -> None:
-        while True:
-            self.asked.acquire()
-            chunk = self.chunk
-            if chunk is None:
-                return
-            try:
-                _draw_uniforms(self.generators, *chunk)
-            except BaseException as error:
-                self.error = error
-            self.drawn.release()
-
-    def draw(self, rows: list[np.ndarray], size: int) -> None:
-        self.chunk = (rows, size)
-        self.asked.release()
-
-    def wait(self) -> None:
-        self.drawn.acquire()
-        if self.error is not None:
-            raise self.error
+    def _help(self) -> None:
+        """The helper thread: after each ``post``, claims groups from the back until none is left."""
+        with np.errstate(**self.errstate):
+            while True:
+                self.woken.acquire()
+                if self.closed:
+                    return
+                try:
+                    while (group := self.claim(True)) is not None:
+                        self.produce(group, self.scratch[1])
+                except BaseException as error:
+                    self.error = error
+                self.idle.release()
 
     def close(self) -> None:
-        self.chunk = None
-        self.asked.release()
-        self.join()
+        if self.helper is not None:
+            self.closed = True
+            self.pending.clear()  # the helper stops after the group it is producing
+            self.woken.release()
+            self.helper.join()
 
 
 def _unscaled(value: float, shift: int) -> float:
@@ -468,19 +462,16 @@ def _unscaled(value: float, shift: int) -> float:
 
 
 class _SquareSum:
-    """The rmse-only summary of one expression's errors, fed chunk by chunk:
-    the kept and excluded counts and the sum of squares of the kept errors.
-
-    Errors are summed as ``x * 2**-shift``. shift stays 0, and the sums plain,
-    until a chunk's squares overflow the running sum while its errors are
-    finite. Then shift grows by the binary exponent of the chunk's largest
-    scaled |error|, so that each square is below 1, and the sums so far are
-    rescaled by that exact power of two.
+    """The rmse-only summary of one expression's errors, fed chunk by chunk: the kept and excluded counts
+    and the sum of squares of the kept errors. Errors are summed as ``x * 2**-shift``. shift stays 0 until
+    a chunk's squares overflow the running sum while its errors are finite; then it grows by the binary
+    exponent of the chunk's largest scaled |error|, so that each square is below 1, and the sums so far
+    are rescaled by that exact power of two. ``count``, the samples to come, sizes a subclass's tails.
     """
 
     __slots__ = ("kept", "excluded", "sum_sq", "shift")
 
-    def __init__(self):
+    def __init__(self, count: int):
         self.kept = 0
         self.excluded = 0
         self.sum_sq = 0.0
@@ -489,7 +480,8 @@ class _SquareSum:
     def add(self, kept: np.ndarray, excluded: int) -> None:
         self.excluded += excluded
         if kept.size:
-            self._add_squares(kept)
+            previous = self.kept
+            self._summarize(*self._add_squares(kept), previous)
 
     def _add_squares(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Counts a nonempty chunk and sums its squares; returns the chunk as summed (scaled) and its squares."""
@@ -507,6 +499,9 @@ class _SquareSum:
         self.kept += kept.size
         return kept, squares
 
+    def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
+        """What a subclass keeps besides: a nonempty chunk, as summed, its squares and the count before it."""
+
     def _rescale(self, delta: int) -> None:
         """Moves every sum to units of ``2**(shift + delta)``."""
         self.shift += delta
@@ -520,42 +515,28 @@ class _SquareSum:
         return rmse
 
 
-class _ErrorSummary(_SquareSum):
-    """The full summary: _SquareSum's plus the mean and M2 of the kept errors
-    (chunks merged by Chan's pairwise formula) and, for the trimmed rmse, an
-    exact running set of the k smallest and k largest errors (``tails``,
-    sorted, the k smallest first) plus the sum of squares of every error in
-    neither. All of it is kept in _SquareSum's units of ``2**shift``.
+class _TailSummary(_SquareSum):
+    """simulate's equation summary: _SquareSum's plus the mean of the kept errors (chunks merged by
+    Chan's pairwise formula) and, for the trimmed rmse, an exact running set of the k smallest and k
+    largest errors (``tails``, sorted, the k smallest first; k is TRIM_PER_TAIL of the count) plus the
+    sum of squares of every error in neither, all in units of ``2**shift``. It keeps no M2: no variance.
     """
 
-    __slots__ = ("k", "mean", "m2", "tails", "core_sq")
+    __slots__ = ("k", "mean", "tails", "core_sq")
 
-    def __init__(self, k: int):
-        super().__init__()
-        self.k = k
+    def __init__(self, count: int):
+        super().__init__(count)
+        self.k = int(count * TRIM_PER_TAIL)
         self.mean = 0.0
-        self.m2 = 0.0
         self.tails = np.empty(0)
         self.core_sq = 0.0
 
-    def add(self, kept: np.ndarray, excluded: int) -> None:
-        self.excluded += excluded
-        size = kept.size
-        if size == 0:
-            return
-        previous = self.kept
-        kept, squares = self._add_squares(kept)
-        chunk_mean = float(kept.sum()) / size
-        centered = kept - chunk_mean
-        centered *= centered
-        chunk_m2 = float(centered.sum())
+    def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
+        chunk_mean = float(kept.sum()) / kept.size
         if previous == 0:
-            self.mean, self.m2 = chunk_mean, chunk_m2
+            self.mean = chunk_mean
         else:
-            total = previous + size
-            delta = chunk_mean - self.mean
-            self.mean += delta * size / total
-            self.m2 += chunk_m2 + delta * delta * previous * size / total
+            self.mean += (chunk_mean - self.mean) * kept.size / (previous + kept.size)
         k = self.k
         if k == 0:
             return
@@ -578,11 +559,10 @@ class _ErrorSummary(_SquareSum):
     def _rescale(self, delta: int) -> None:
         super()._rescale(delta)
         self.mean = math.ldexp(self.mean, -delta)
-        self.m2 = math.ldexp(self.m2, -2 * delta)
         self.core_sq = math.ldexp(self.core_sq, -2 * delta)
         self.tails = np.ldexp(self.tails, -delta)
 
-    def result(self, rmse: float) -> PropagationResult:
+    def result(self, rmse: float) -> tuple[float, MonteCarloDetail]:
         drop = int(self.kept * TRIM_PER_TAIL)
         if drop == 0:
             trimmed = rmse
@@ -591,11 +571,31 @@ class _ErrorSummary(_SquareSum):
             inner = self.tails[drop : self.tails.size - drop]
             core_sq = self.core_sq + float((inner * inner).sum())
             trimmed = _unscaled(math.sqrt(core_sq / (self.kept - 2 * drop)), self.shift)
-        return PropagationResult(
-            variance=_unscaled(self.m2 / self.kept, 2 * self.shift),
-            rmse=rmse,
-            method="montecarlo",
-            mc_detail=MonteCarloDetail(
-                samples=self.kept, bias_estimate=_unscaled(self.mean, self.shift), trimmed_rmse=trimmed
-            ),
-        )
+        return rmse, MonteCarloDetail(self.kept, bias_estimate=_unscaled(self.mean, self.shift), trimmed_rmse=trimmed)
+
+
+class _ErrorSummary(_TailSummary):
+    """propagate_variance_montecarlo's summary: _TailSummary's plus the M2 of the kept errors (Chan's
+    formula again), for the variance."""
+
+    __slots__ = ("m2",)
+
+    def __init__(self, count: int):
+        super().__init__(count)
+        self.m2 = 0.0
+
+    def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
+        chunk_mean = float(kept.sum()) / kept.size
+        centered = kept - chunk_mean
+        centered *= centered
+        delta = chunk_mean - self.mean  # with no previous errors, the merge term is 0
+        self.m2 += float(centered.sum()) + delta * delta * previous * kept.size / (previous + kept.size)
+        super()._summarize(kept, squares, previous)
+
+    def _rescale(self, delta: int) -> None:
+        super()._rescale(delta)
+        self.m2 = math.ldexp(self.m2, -2 * delta)
+
+    def result(self, rmse: float) -> PropagationResult:
+        variance = _unscaled(self.m2 / self.kept, 2 * self.shift)
+        return PropagationResult(variance, rmse, method="montecarlo", mc_detail=super().result(rmse)[1])

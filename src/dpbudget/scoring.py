@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import NonFiniteError
-from .propagation import FirstOrderModel, _Scales, budget_vector, check_mc_samples, replay_montecarlo
+from .propagation import FirstOrderModel, _Scales, _SquareSum, budget_vector, check_mc_samples, replay_montecarlo
 from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 
@@ -79,15 +79,15 @@ def score_validated(
     seed: int | None,
 ) -> UtilityReport:
     """score_allocation on a validated allocation and ``_scorer(workload, options)``."""
-    budgets = budget_vector(workload, allocation)
+    budgets = budget_vector(workload, allocation) / model.unit
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")
         check_mc_samples(options.mc_samples)
         expressions = [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
         # The score reads only each rmse, so the kernel keeps only each sum of squares.
-        full = [False] * len(expressions)
-        rmses = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, full)
+        summaries = [_SquareSum] * len(expressions)
+        rmses = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, summaries)
         statistic_part = model.statistic_terms(budgets)
         equation_part = [rmse / norm for rmse, norm in zip(rmses, model.norms.tolist())]
     else:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .expressions import StatRef
-from .propagation import FirstOrderModel, budget_vector, replay_montecarlo
+from .propagation import FirstOrderModel, _SquareSum, _TailSummary, budget_vector, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
 
 # Below this many trials the rmse fields are reported but flagged unreliable.
@@ -69,29 +69,33 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     # Unnormalized scores are the predicted rmse: sqrt(2) * sensitivity / budget per statistic.
-    statistic_part, equation_part = FirstOrderModel(workload, False).terms(budget_vector(workload, allocation))
+    model = FirstOrderModel(workload, False)
+    statistic_part, equation_part = model.terms(budget_vector(workload, allocation) / model.unit)
     if not (np.isfinite(statistic_part).all() and np.isfinite(equation_part).all()):
         raise NonFiniteError("a predicted rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the
     # bare-reference expression over it yields.
     expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]
     expressions += [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
-    # A statistic reports only its rmse, so its summary keeps only its sum of squares.
+    # A statistic reports only its rmse, so its summary keeps only its sum of squares; an equation
+    # reports no variance, so its summary keeps no M2.
     n_stat = len(workload.statistics)
-    full = [False] * n_stat + [True] * len(workload.equations)
-    results = replay_montecarlo(workload, allocation, expressions, trials, seed, full, sink)
+    summaries = [_SquareSum] * n_stat + [_TailSummary] * len(workload.equations)
+    results = replay_montecarlo(workload, allocation, expressions, trials, seed, summaries, sink)
     per_statistic = {
         spec.id: StatisticErrorSummary(empirical_rmse=rmse, predicted_rmse=predicted_rmse)
         for spec, rmse, predicted_rmse in zip(workload.statistics, results, statistic_part.tolist())
     }
     per_equation = {
         equation.id: EquationErrorSummary(
-            empirical_rmse=result.rmse,
-            trimmed_rmse=result.mc_detail.trimmed_rmse,
-            bias=result.mc_detail.bias_estimate,
+            empirical_rmse=rmse,
+            trimmed_rmse=detail.trimmed_rmse,
+            bias=detail.bias_estimate,
             predicted_rmse=predicted_rmse,
         )
-        for equation, result, predicted_rmse in zip(workload.equations, results[n_stat:], equation_part.tolist())
+        for equation, (rmse, detail), predicted_rmse in zip(
+            workload.equations, results[n_stat:], equation_part.tolist()
+        )
     }
     return SimulationReport(
         trials=trials,

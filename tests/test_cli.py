@@ -28,6 +28,7 @@ from dpbudget import (
 from dpbudget.cli import run_cli
 from dpbudget.errors import DivisionNearZeroError
 from dpbudget.expressions import evaluate
+from dpbudget.simulation import _simulate
 
 from helpers import DEEP_EXPRESSIONS, random_allocation, random_instance
 
@@ -521,6 +522,44 @@ def test_trial_dump_memory_does_not_grow_with_trials(tmp_path, capsys):
     assert peak < 8 * 10**6
     with open(dump, encoding="utf-8") as handle:
         assert sum(1 for _ in handle) == trials + 1
+
+
+def test_a_wide_trial_dump_holds_a_few_megabytes_beyond_the_kernel(tmp_path, capsys):
+    # 1003 columns. Formatting a chunk's cells all at once held a million strings here, some 80 MB (a
+    # 1300-column dump of 16384 trials peaked at 2 GB RSS); a slice of the chunk holds a few MB.
+    n, trials = 1000, 1000
+    document = {
+        "epsilon": float(n),
+        "statistics": [{"id": f"s{i}", "sensitivity": 1.0, "reference_value": 100.0 + i} for i in range(n)],
+        "equations": [
+            {"id": "sum", "expression": "s0 + s1", "sensitivity": 1.0},
+            {"id": "ratio", "expression": "s2 / s3", "sensitivity": 1.0},
+        ],
+    }
+    workload = _write(tmp_path, "w.json", json.dumps(document))
+    budgets = _write(tmp_path, "a.json", json.dumps({"budgets": {f"s{i}": 1.0 for i in range(n)}}))
+    dump = tmp_path / "trials.csv"
+    argv = ["simulate", "--workload", workload, "--allocation", budgets, "--seed", "1", "--dump-trials", str(dump)]
+    assert run_cli([*argv, "--trials", "10"]) == 0  # imports the simulating modules, which would count below
+    loaded = load_workload(Path(workload).read_text(encoding="utf-8"))
+    alloc = load_allocation(Path(budgets).read_text(encoding="utf-8"), loaded)
+    tracemalloc.start()
+    try:
+        # The kernel's own peak, with a sink that keeps its chunk errors alive as the dump's does.
+        _simulate(loaded, alloc, trials, 1, lambda start, chunk_errors: None)
+        _, kernel_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        code = run_cli([*argv, "--trials", str(trials)])
+        _, dump_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert dump_peak - kernel_peak < 8 * 10**6
+    with open(dump, encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    assert len(lines) == trials + 1
+    assert {line.count(",") for line in lines} == {n + 2}
 
 
 def test_non_utf8_documents_are_malformed(tmp_path, capsys):

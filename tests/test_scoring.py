@@ -290,3 +290,17 @@ def test_montecarlo_score_is_not_refused_for_an_overflowing_amplitude():
     )
     report = score_allocation(workload, allocation(workload, 1e100, 1e100), _montecarlo(10**4), seed=2)
     assert report.ue_terms["eq"] == pytest.approx(SQRT2 * 1e210, rel=0.05)
+
+
+def test_analytic_score_of_an_amplitude_that_overflows_at_budget_1():
+    # s1's first-order amplitude at budget 1, sqrt(2) * 1e300 * 1e10, overflows. The model stores it per
+    # budget unit, the smallest power of four not below epsilon 2e100, where it is finite, so the analytic
+    # route scores the rmse at budget 1e100, sqrt(2) * 1e210, as the Monte Carlo route does.
+    workload = make_workload(
+        epsilon=2e100, stats=(("s1", 1e10, 1e-90), ("s2", 1.0, 1e300)), equations=(("eq", "s1 * s2", 1.0),)
+    )
+    alloc = allocation(workload, 1e100, 1e100)
+    assert score_allocation(workload, alloc).ue_terms["eq"] == pytest.approx(SQRT2 * 1e210, rel=1e-12)
+    report = simulate_pipeline(workload, alloc, 2000, seed=3)
+    assert report.per_equation["eq"].predicted_rmse == pytest.approx(SQRT2 * 1e210, rel=1e-12)
+    assert report.per_equation["eq"].empirical_rmse == pytest.approx(SQRT2 * 1e210, rel=0.1)
