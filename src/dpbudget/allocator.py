@@ -6,10 +6,8 @@
 * grid_search: exhaustive lattice search, the oracle for small instances.
 * optimize_descent: majorize-minimize from uniform, for coupled equations.
 
-The optimizers work in shares u = b / epsilon on the model's coefficients,
-which are stored per budget unit (the smallest power of four not below
-epsilon): the metric at budgets b is f(u) / (epsilon / unit), so no scale of
-epsilon over- or underflows them.
+The optimizers work in shares of epsilon, where the metric at budgets b is
+f(b / epsilon) / epsilon, so no scale of epsilon over- or underflows them.
 The square-root rule and descent share one solve (_surrogate_minimum). Each
 result satisfies the sum constraint and the floor, and reports the
 Frank-Wolfe gap, an upper bound on its metric's distance to the minimum.
@@ -52,8 +50,9 @@ class OptimizationResult:
 
 class _Objective:
     """The closed-form metric under ``options`` in shares u = b / epsilon of the budget:
-    f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, with c and the amplitudes per the model's budget unit,
-    and the metric at budgets b is f(b / epsilon) / (epsilon / unit).
+    f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, and the metric at budgets b is f(b / epsilon) / ``scale``.
+    c and the amplitudes are per the model's budget unit, and f reads u as budgets in it, so ``scale`` is
+    epsilon / unit: epsilon itself unless a coefficient overflows at unit 1 (propagation._per_unit).
 
     sigma_j is the 2-norm of a_ji / u_i over the amplitudes a_ji; one-statistic equations
     (sigma_j = a_ji / u_i) are folded into c as r = a / n. As sigma <= sigma^2 / (2t) + t / 2, equal at
@@ -65,6 +64,7 @@ class _Objective:
         self.options = replace(options if options is not None else workload.options, estimator="analytic")
         self.model = model = FirstOrderModel(workload, self.options.normalize_by_sensitivity)
         self.floor = workload.options.min_budget_fraction
+        self.scale = workload.epsilon / model.unit  # exact: the unit is a power of two
         single = np.bincount(model.rows, minlength=model.n_eq)[model.rows] == 1
         with np.errstate(over="ignore"):  # an overflow makes the metric non-finite, then NonFiniteError
             r = model.amplitudes / model.norms[model.rows]
@@ -78,7 +78,7 @@ class _Objective:
         to d. The gap, g . u less the least g . s over the floored simplex,
         bounds f(u) - min f (f is convex): sum_i (u_i - floor)(g_i - min g).
         """
-        statistic_part, equation_part = self.model.terms(shares)
+        statistic_part, equation_part = self.model.terms(shares, in_units=True)
         half = np.divide(0.5, equation_part, out=np.zeros_like(equation_part), where=equation_part > 0.0)
         d = np.bincount(self.cols, self.r * (self.r * half[self.rows]), minlength=shares.size)
         scaled = -(self.c + 2.0 * d / shares) / shares
@@ -93,7 +93,7 @@ def _result(workload: Workload, objective: _Objective, shares: np.ndarray, **fie
     allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
     metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
     with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
-        gap = objective.evaluate(shares)[1] / (workload.epsilon / objective.model.unit)
+        gap = objective.evaluate(shares)[1] / objective.scale
     if not math.isfinite(gap):
         raise NonFiniteError(f"the optimality gap overflows at this allocation ({gap!r}): its budgets are too small")
     return OptimizationResult(allocation=allocation, metric=metric, gap=gap, **fields)
@@ -227,7 +227,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
                 shares = shares[feasible]
                 if shares.size == 0:
                     continue
-        values = objective.model.metric_batch(shares)
+        values = objective.model.metric_batch(shares, in_units=True)
         evaluated += values.size
         i = int(np.argmin(values))
         if values[i] < best_value:
@@ -248,8 +248,7 @@ def objective_gradient(
     objective = _Objective(workload, options)
     budgets = budget_vector(workload, allocation)
     with np.errstate(all="ignore"):  # overflow gives a non-finite partial, refused below; b * epsilon may overflow
-        scale = workload.epsilon / objective.model.unit  # exact: unit is a power of two
-        gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / scale
+        gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / objective.scale
     if not np.isfinite(gradient).all():
         raise NonFiniteError("the metric's gradient overflows at this allocation: its budgets are too small")
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}

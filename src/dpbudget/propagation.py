@@ -4,10 +4,14 @@ Two routes are provided and meant to cross-check each other: a first-order
 (delta-method) analytic prediction, exact for linear equations, and a
 seeded Monte Carlo estimate that replays noisy releases through the
 equation. The Monte Carlo report includes a symmetrically trimmed rmse
-because quotients of noisy values can have very heavy tails: when a
-denominator's reference value lies only a few noise standard deviations
-from zero (around 3.5), the true variance is infinite, and the two routes
-disagree by an order of magnitude even after trimming.
+because quotients of noisy values can have very heavy tails.
+
+For quotients the first-order prediction is reliable only when each
+denominator's reference value lies many noise standard deviations from
+zero. When it lies only a few away (around 3.5), the noisy
+denominator crosses zero with non-negligible probability, the true
+variance is infinite, and the two routes disagree by an order of
+magnitude even after trimming.
 """
 
 from __future__ import annotations
@@ -71,12 +75,16 @@ class PropagationResult:
 
 
 def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, float]:
-    """Exact partial derivatives of the expression at the reference point, one entry per referenced
-    statistic (zero entries included, e.g. for "s1 - s1"), by one reverse sweep in time linear in its size.
+    """Exact partial derivatives of the expression at the reference point.
+
+    Computed by one reverse sweep over the tree (reverse-mode
+    differentiation), in time linear in its size; the result has one entry
+    per referenced statistic (zero entries included, e.g. for "s1 - s1").
 
     Raises:
         MissingValueError: a referenced id has no reference value.
-        DivisionNearZeroError: a denominator magnitude at the reference point falls below DIVISION_GUARD.
+        DivisionNearZeroError: a denominator magnitude at the reference
+            point falls below DIVISION_GUARD.
     """
     return _value_and_partials(ast, refs)[1]
 
@@ -111,68 +119,88 @@ def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, di
     return value, partials
 
 
-def _budget_unit(epsilon: float) -> float:
-    """The smallest power of four not below epsilon (2**1022 at most). The closed form stores its
-    coefficients per this unit and reads budgets in it (b / unit). A budget is at most epsilon, so a
-    coefficient is at most a score it adds to, and is finite wherever the scores are. Dividing by a power
-    of two is exact, so a score keeps every bit; a power of four keeps the optimizers' square roots exact."""
-    mantissa, exponent = math.frexp(epsilon)
-    power = exponent - 1 if mantissa == 0.5 else exponent  # the smallest power of two not below epsilon
-    return math.ldexp(1.0, min(power + power % 2, 1022))
+def _per_unit(coefficients: Callable[[float], np.ndarray], epsilon: float, unit: float = 1.0) -> tuple:
+    """``coefficients(unit)`` and the budget unit they are per, in which the closed form reads budgets (b / unit).
+
+    The unit is ``unit``, 1 by default, so that a workload whose coefficients are finite is scored on its
+    budgets as given. Only when it is 1 and a coefficient overflows there, it becomes the smallest power of
+    four not below epsilon (2**1022 at most): a budget is at most epsilon, so a coefficient per that unit is
+    at most a score it adds to, and is finite wherever the scores are. A budget far below epsilon then
+    loses bits in it or underflows (an infinite score); at unit 1 such a workload had no finite
+    coefficient. A power of four keeps the optimizers' square roots exact.
+    """
+    with np.errstate(over="ignore"):
+        values = coefficients(unit)
+        if unit != 1.0 or np.isfinite(values).all():
+            return values, unit
+        mantissa, exponent = math.frexp(epsilon)
+        power = exponent - 1 if mantissa == 0.5 else exponent  # the smallest power of two not below epsilon
+        unit = math.ldexp(1.0, min(power + power % 2, 1022))
+        return coefficients(unit), unit
 
 
 class _Scales:
-    """What every route's scores read besides the equation rmses: the budget ``unit`` (_budget_unit),
-    each statistic's coefficient sqrt(2) * sensitivity / unit (sqrt(2) / unit under normalization),
-    whose quotient by its budget in units is the statistic's score, and each equation's norm (its
-    sensitivity under normalization, else 1)."""
+    """What every route's scores read besides the equation rmses: each statistic's coefficient
+    sqrt(2) * sensitivity / unit (sqrt(2) / unit under normalization), whose quotient by its budget in
+    units is the statistic's score, and each equation's norm (its sensitivity under normalization, else 1).
+    ``unit`` is the budget unit (_per_unit), 1 unless a coefficient overflows at 1. Budgets are passed
+    as they are; ``in_units=True`` says they are already divided by the unit, as the optimizers' are."""
 
-    def __init__(self, workload: Workload, normalize: bool):
-        self.unit = _budget_unit(workload.epsilon)
-        sens = np.array([spec.sensitivity / self.unit for spec in workload.statistics], dtype=float)
-        self.us_coeff = np.full(sens.size, _SQRT2 / self.unit) if normalize else _SQRT2 * sens
+    def __init__(self, workload: Workload, normalize: bool, unit: float = 1.0):
+        sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+        self.us_coeff, self.unit = _per_unit(
+            lambda unit: np.full(sens.size, _SQRT2 / unit) if normalize else _SQRT2 * (sens / unit),
+            workload.epsilon,
+            unit,
+        )
         self.norms = np.array([eq.sensitivity if normalize else 1.0 for eq in workload.equations], dtype=float)
 
-    def statistic_terms(self, budgets: np.ndarray) -> np.ndarray:
-        """Per-statistic scores at budgets in units (b / unit), or a batch with statistics last; inf on overflow."""
+    def statistic_terms(self, budgets: np.ndarray, in_units: bool = False) -> np.ndarray:
+        """Per-statistic scores at a budget vector, or a batch with statistics on the last axis; inf on overflow."""
         with np.errstate(over="ignore"):
-            return self.us_coeff / budgets
+            return self.us_coeff / (budgets if in_units else budgets / self.unit)
 
 
 class FirstOrderModel(_Scales):
     """Sparse first-order (closed-form) metric of a workload over budget vectors.
 
-    Built once per public call from one gradient per equation. For every nonzero partial g of equation j in
-    statistic i it stores the row j, the column i and the amplitude sqrt(2) * |g| * (sensitivity_i / unit),
-    so equation j's predicted rmse at budgets b is the 2-norm of amplitude / (b_i / unit) over its row
-    (``_row_norms``). Cost is linear in the Jacobian's nonzeros. Budget vectors, in units and in
-    workload-statistic order, are not validated. An equation's value at the reference values or amplitude
-    that overflows (or is NaN) raises NonFiniteError naming it.
+    Built once per public call from one gradient per equation. For every
+    nonzero partial g of equation j in statistic i it stores the row j, the
+    column i and the amplitude sqrt(2) * |g| * sensitivity_i / unit, so
+    equation j's predicted rmse at budgets b is the 2-norm of amplitude /
+    (b_i / unit) over its row (``_row_norms``). Cost is linear in the
+    Jacobian's nonzeros. Budget vectors are indexed in workload-statistic
+    order and are not validated. An equation's value at the reference values
+    or amplitude that overflows (or is NaN) raises NonFiniteError naming the
+    equation.
     """
 
     def __init__(self, workload: Workload, normalize: bool):
         super().__init__(workload, normalize)
         equations = workload.equations
-        self.rows, self.cols, self.amplitudes, self.starts = _jacobian_amplitudes(
+        self.rows, self.cols, self.amplitudes, self.starts, unit = _jacobian_amplitudes(
             workload, [eq.expression for eq in equations], lambda row: f"equation {equations[row].id!r}", self.unit
         )
+        if unit != self.unit:  # an amplitude overflows at unit 1, so the statistics' coefficients move too
+            super().__init__(workload, normalize, unit)
         self.n_eq = len(workload.equations)
 
-    def terms(self, budgets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-statistic and per-equation scores (the report's us/ue terms) at a vector of budgets in units,
+    def terms(self, budgets: np.ndarray, in_units: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Per-statistic and per-equation scores (the report's us/ue terms) at a budget vector,
         or at a batch with statistics on the last axis; inf where one overflows (then NonFiniteError)."""
+        units = budgets if in_units else budgets / self.unit
         with np.errstate(over="ignore"):
             # In place, and each temporary dropped before the next: a grid batch is large.
-            ratios = budgets[..., self.cols]
+            ratios = units[..., self.cols]
             np.divide(self.amplitudes, ratios, out=ratios)
             rmse = _row_norms(ratios, self.rows, self.starts, self.n_eq)
             del ratios
             rmse /= self.norms
-        return self.statistic_terms(budgets), rmse
+        return self.statistic_terms(units, in_units=True), rmse
 
-    def metric_batch(self, budget_rows: np.ndarray) -> np.ndarray:
+    def metric_batch(self, budget_rows: np.ndarray, in_units: bool = False) -> np.ndarray:
         """Metric of each row of a batch of budget vectors; inf where it overflows."""
-        statistic_part, equation_part = self.terms(budget_rows)
+        statistic_part, equation_part = self.terms(budget_rows, in_units)
         with np.errstate(over="ignore"):
             return statistic_part.sum(axis=-1) + equation_part.sum(axis=-1)
 
@@ -183,12 +211,15 @@ def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarra
 
 
 def _jacobian_amplitudes(
-    workload: Workload, expressions: list[Expr], label: Callable[[int], str], unit: float
-) -> tuple[np.ndarray, ...]:
-    """Flat (row, column, sqrt(2) * |g| * (sensitivity / unit)) arrays of the nonzero partials, and where
-    each row starts. Entries run by expression, then by statistic index: that order fixes the order of every
-    sum over a row, and so keeps every report byte-identical. A value at the reference values or an
-    amplitude that is not finite raises NonFiniteError naming the expression by ``label(row)``.
+    workload: Workload, expressions: list[Expr], label: Callable[[int], str], unit: float = 1.0
+) -> tuple:
+    """Flat (row, column, sqrt(2) * |g| * sensitivity / unit) arrays of the nonzero partials, where each
+    row starts, and the budget unit (_per_unit: ``unit``, unless that is 1 and an amplitude overflows at it).
+
+    Entries run by expression, then by statistic index: that order fixes the
+    order of every sum over a row, and so keeps every report byte-identical.
+    A value at the reference values or an amplitude that is not finite raises
+    NonFiniteError naming the expression by ``label(row)``.
     """
     refs = workload.reference_values()
     index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
@@ -206,9 +237,9 @@ def _jacobian_amplitudes(
     order = np.lexsort((cols, rows))
     order = order[partial_array[order] != 0.0]
     row_array, col_array = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
-    sens = np.array([spec.sensitivity / unit for spec in workload.statistics], dtype=float)
-    with np.errstate(over="ignore"):
-        amplitudes = _SQRT2 * np.abs(partial_array[order]) * sens[col_array]
+    magnitudes = np.abs(partial_array[order])
+    sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
+    amplitudes, unit = _per_unit(lambda unit: _SQRT2 * magnitudes * (sens / unit)[col_array], workload.epsilon, unit)
     overflowed = np.flatnonzero(~np.isfinite(amplitudes))
     if overflowed.size:
         entry = overflowed[0]
@@ -216,7 +247,7 @@ def _jacobian_amplitudes(
             f"{label(row_array[entry])}: its first-order amplitude in statistic "
             f"{workload.statistics[col_array[entry]].id!r} is {float(amplitudes[entry])!r} at the reference values"
         )
-    return row_array, col_array, amplitudes, np.flatnonzero(np.diff(row_array, prepend=-1))
+    return row_array, col_array, amplitudes, np.flatnonzero(np.diff(row_array, prepend=-1)), unit
 
 
 def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows: int) -> np.ndarray:
@@ -234,15 +265,16 @@ def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows:
 def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: BudgetAllocation) -> PropagationResult:
     """First-order prediction of the equation's output-noise variance.
 
-    Each statistic's noise is an independent Laplace draw, so the linearized variance is the
-    gradient-weighted sum of the per-statistic variances. Exact when the expression is linear in the
-    statistics. For a quotient it is reliable only when the denominator's reference value is many noise
-    standard deviations from zero; near 3.5 of them the true variance is infinite and this prediction
-    understates it. A value at the reference values or a variance that overflows is NonFiniteError.
+    Each statistic's noise is an independent Laplace draw, so the
+    linearized variance is the gradient-weighted sum of the per-statistic
+    variances. Exact when the expression is linear in the statistics.
+    For a quotient it is reliable only when the denominator's reference
+    value is many noise standard deviations from zero; near 3.5 of them
+    the true variance is infinite and this prediction understates it.
+    A value at the reference values or a variance that overflows is NonFiniteError.
     """
     allocation = validate_allocation(workload, allocation)
-    unit = _budget_unit(workload.epsilon)
-    rows, cols, amplitudes, starts = _jacobian_amplitudes(workload, [ast], lambda row: "expression", unit)
+    rows, cols, amplitudes, starts, unit = _jacobian_amplitudes(workload, [ast], lambda row: "expression")
     with np.errstate(over="ignore"):
         rmse = float(_row_norms(amplitudes / (budget_vector(workload, allocation) / unit)[cols], rows, starts, 1)[0])
     if not math.isfinite(rmse * rmse):
@@ -259,13 +291,16 @@ def propagate_variance_montecarlo(
 ) -> PropagationResult:
     """Monte Carlo estimate of the equation's output-noise distribution.
 
-    Draws ``samples`` joint noise vectors, evaluates the expression at reference-plus-noise and at the
-    reference, and summarizes the differences. Deterministic per seed. Samples whose denominators come
-    within DIVISION_GUARD of zero are excluded; if more than HEAVY_TAIL_FRACTION of them do, the run aborts.
+    Draws ``samples`` joint noise vectors, evaluates the expression at
+    reference-plus-noise and at the reference, and summarizes the
+    differences. Deterministic per seed. Samples whose denominators come
+    within DIVISION_GUARD of zero are excluded; if more than
+    HEAVY_TAIL_FRACTION of them do, the run aborts.
 
     Raises:
         HeavyTailWarning: too many excluded samples.
-        DivisionNearZeroError: the expression is degenerate at the reference point itself.
+        DivisionNearZeroError: the expression is degenerate at the
+            reference point itself.
         NonFiniteError: an error, or the variance of the errors, overflows.
     """
     allocation = validate_allocation(workload, allocation)
@@ -462,11 +497,15 @@ def _unscaled(value: float, shift: int) -> float:
 
 
 class _SquareSum:
-    """The rmse-only summary of one expression's errors, fed chunk by chunk: the kept and excluded counts
-    and the sum of squares of the kept errors. Errors are summed as ``x * 2**-shift``. shift stays 0 until
-    a chunk's squares overflow the running sum while its errors are finite; then it grows by the binary
-    exponent of the chunk's largest scaled |error|, so that each square is below 1, and the sums so far
-    are rescaled by that exact power of two. ``count``, the samples to come, sizes a subclass's tails.
+    """The rmse-only summary of one expression's errors, fed chunk by chunk:
+    the kept and excluded counts and the sum of squares of the kept errors.
+
+    Errors are summed as ``x * 2**-shift``. shift stays 0, and the sums plain,
+    until a chunk's squares overflow the running sum while its errors are
+    finite. Then shift grows by the binary exponent of the chunk's largest
+    scaled |error|, so that each square is below 1, and the sums so far are
+    rescaled by that exact power of two. ``count``, the samples to come,
+    sizes a subclass's tails.
     """
 
     __slots__ = ("kept", "excluded", "sum_sq", "shift")
@@ -532,11 +571,7 @@ class _TailSummary(_SquareSum):
         self.core_sq = 0.0
 
     def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
-        chunk_mean = float(kept.sum()) / kept.size
-        if previous == 0:
-            self.mean = chunk_mean
-        else:
-            self.mean += (chunk_mean - self.mean) * kept.size / (previous + kept.size)
+        self._merge(kept, float(kept.sum()) / kept.size, previous)
         k = self.k
         if k == 0:
             return
@@ -555,6 +590,13 @@ class _TailSummary(_SquareSum):
             self.tails = np.concatenate((merged[:k], merged[-k:]))
             pushed = merged[k:-k]
             self.core_sq += float((pushed * pushed).sum())
+
+    def _merge(self, kept: np.ndarray, chunk_mean: float, previous: int) -> None:
+        """Merges a nonempty chunk, as summed, of mean ``chunk_mean`` into the ``previous`` errors' statistics."""
+        if previous == 0:
+            self.mean = chunk_mean
+        else:
+            self.mean += (chunk_mean - self.mean) * kept.size / (previous + kept.size)
 
     def _rescale(self, delta: int) -> None:
         super()._rescale(delta)
@@ -584,13 +626,15 @@ class _ErrorSummary(_TailSummary):
         super().__init__(count)
         self.m2 = 0.0
 
-    def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
-        chunk_mean = float(kept.sum()) / kept.size
+    def _merge(self, kept: np.ndarray, chunk_mean: float, previous: int) -> None:
         centered = kept - chunk_mean
         centered *= centered
-        delta = chunk_mean - self.mean  # with no previous errors, the merge term is 0
-        self.m2 += float(centered.sum()) + delta * delta * previous * kept.size / (previous + kept.size)
-        super()._summarize(kept, squares, previous)
+        if previous == 0:
+            self.m2 = float(centered.sum())
+        else:
+            delta = chunk_mean - self.mean
+            self.m2 += float(centered.sum()) + delta * delta * previous * kept.size / (previous + kept.size)
+        super()._merge(kept, chunk_mean, previous)
 
     def _rescale(self, delta: int) -> None:
         super()._rescale(delta)

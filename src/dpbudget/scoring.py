@@ -79,7 +79,7 @@ def score_validated(
     seed: int | None,
 ) -> UtilityReport:
     """score_allocation on a validated allocation and ``_scorer(workload, options)``."""
-    budgets = budget_vector(workload, allocation) / model.unit
+    budgets = budget_vector(workload, allocation)
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")

@@ -69,8 +69,7 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     # Unnormalized scores are the predicted rmse: sqrt(2) * sensitivity / budget per statistic.
-    model = FirstOrderModel(workload, False)
-    statistic_part, equation_part = model.terms(budget_vector(workload, allocation) / model.unit)
+    statistic_part, equation_part = FirstOrderModel(workload, False).terms(budget_vector(workload, allocation))
     if not (np.isfinite(statistic_part).all() and np.isfinite(equation_part).all()):
         raise NonFiniteError("a predicted rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the

@@ -298,7 +298,7 @@ def test_model_metric_agrees_with_canonical_scorer():
         b = budget_vector(workload, alloc)
         reversed_budgets = dict(zip(workload.statistic_ids, b[::-1].tolist()))
         model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
-        batch = model.metric_batch(np.vstack([b, b[::-1]]) / model.unit)  # the model reads budgets in its unit
+        batch = model.metric_batch(np.vstack([b, b[::-1]]))
         assert batch[0] == pytest.approx(metric, rel=1e-12)
         assert batch[1] == pytest.approx(closed_form(workload, reversed_budgets)[3], rel=1e-12)
 

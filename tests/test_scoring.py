@@ -6,6 +6,7 @@ from dpbudget import (
     MetricOptions,
     compare_allocations,
     grid_search,
+    propagate_variance_analytic,
     propagate_variance_montecarlo,
     score_allocation,
     simulate_pipeline,
@@ -304,3 +305,21 @@ def test_analytic_score_of_an_amplitude_that_overflows_at_budget_1():
     report = simulate_pipeline(workload, alloc, 2000, seed=3)
     assert report.per_equation["eq"].predicted_rmse == pytest.approx(SQRT2 * 1e210, rel=1e-12)
     assert report.per_equation["eq"].empirical_rmse == pytest.approx(SQRT2 * 1e210, rel=0.1)
+
+
+def test_a_budget_far_below_a_huge_epsilon_is_read_as_given():
+    # Every coefficient is finite at budget 1, so the model reads budgets as they are: 1e-30 against
+    # epsilon 1e300 neither underflows nor loses a bit, on either route.
+    workload = make_workload(
+        epsilon=1e300, stats=(("s1", 1.0, 5.0), ("s2", 3.0, 7.0)), equations=(("eq", "s1 * s2", 1.0),)
+    )
+    alloc = allocation(workload, 1e-30, 1e300)
+    rmse = SQRT2 * 7.0 * 1.0 / 1e-30  # s2's term, sqrt(2) * 5 / 1e300, vanishes beside it in the 2-norm
+    analytic = score_allocation(workload, alloc)
+    assert analytic.us_terms == {"s1": SQRT2 / 1e-30, "s2": SQRT2 / 1e300}
+    assert analytic.ue_terms == {"eq": rmse}
+    assert propagate_variance_analytic(workload.equations[0].expression, workload, alloc).rmse == rmse
+    assert simulate_pipeline(workload, alloc, 1000, seed=1).per_equation["eq"].predicted_rmse == rmse
+    sampled = score_allocation(workload, alloc, _montecarlo(10**4), seed=2)
+    assert sampled.us_terms == analytic.us_terms
+    assert sampled.ue_terms["eq"] == pytest.approx(rmse, rel=0.1)
