@@ -29,10 +29,7 @@ _HOMES = {
         "Binary", "BinaryOp", "Constant", "Expr", "Negate", "StatRef", "evaluate", "format_expression",
         "free_statistics", "parse_expression",
     ),
-    "noise": (
-        "NoiseProfile", "consumed_budget", "noise_profile", "noise_stream", "release_statistics", "sample_noise",
-        "sample_noise_batch",
-    ),
+    "noise": ("noise_stream", "release_statistics", "sample_noise_batch"),
     "propagation": (
         "MonteCarloDetail", "PropagationResult", "gradient_at_reference", "propagate_variance_analytic",
         "propagate_variance_montecarlo",

@@ -90,6 +90,8 @@ class _Objective:
 def _result(workload: Workload, objective: _Objective, shares: np.ndarray, **fields) -> OptimizationResult:
     """Reports the optimizer's shares of epsilon as validated budgets, with their scored metric and gap."""
     budgets = shares * workload.epsilon
+    if not np.isfinite(budgets).all():
+        raise NonFiniteError(f"the optimizer's budgets are not finite ({budgets.tolist()!r})")
     allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
     metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
     with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
@@ -114,7 +116,9 @@ def _surrogate_minimum(c: np.ndarray, d: np.ndarray, floor: float, shift: float 
     u_i / sqrt(3), u_i solving u^3 - 3u = 2 x_i exp(shift / 2), x_i = 3 sqrt(3)
     d_i / (c_i r_i); as u >= sqrt(3), shift >= 0. Bracketed Newton steps on
     log(sum b) start at ``shift``, the last (within 1e-5) taken to first order;
-    shift 0 is exact when d = 0 and no floor binds. Free budgets are then
+    shift 0 is exact when d = 0 and no floor binds. Where x_i exp(shift / 2)
+    overflows, u_i is cbrt(2 x_i exp(shift / 2)) to double precision, so the
+    root is cbrt(2 d_i r_i^2 / c_i) exp(-shift / 3). Free budgets are then
     scaled to make the sum exact.
     """
     sqrt_rule = np.sqrt(c)
@@ -125,6 +129,11 @@ def _surrogate_minimum(c: np.ndarray, d: np.ndarray, floor: float, shift: float 
         u = _cubic_root(x * math.exp(shift / 2.0))
         roots = sqrt_rule * (math.exp(-shift / 2.0) / math.sqrt(3.0) * u)
         total = float(np.add.reduce(np.maximum(roots, floor)))
+        if not math.isfinite(total):  # u is inf where x exp(shift / 2) overflows
+            huge = np.isinf(u)
+            roots[huge] = np.cbrt(2.0 * sqrt_rule[huge] ** 2) * (np.cbrt(d[huge]) / np.cbrt(c[huge]))
+            roots[huge] *= math.exp(-shift / 3.0)
+            total = float(np.add.reduce(np.maximum(roots, floor)))
         excess = math.log(total)
         rates = roots / (3.0 / (u * u) - 3.0)  # d root / d shift
         slope = float(np.dot(rates, roots > floor)) / total

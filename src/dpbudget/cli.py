@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -61,14 +62,23 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _parse_mc_samples(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"mc-samples must be an integer, got {text!r}") from None
-    if value < MIN_MC_SAMPLES:
-        raise argparse.ArgumentTypeError(f"mc-samples must be at least {MIN_MC_SAMPLES}, got {text!r}")
-    return value
+def _int_at_least(minimum: int, name: str):
+    """An argparse type: an integer of at least ``minimum``, named ``name`` in its error."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) >= minimum:
+                return value
+        raise argparse.ArgumentTypeError(f"{name} must be an integer of at least {minimum}, got {text!r}")
+
+    return parse
+
+
+def _parse_tol(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0.0 <= (value := float(text)) < math.inf:
+            return value
+    raise argparse.ArgumentTypeError(f"tol must be a finite number of at least 0, got {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = None, estimator: bool = False):
@@ -81,7 +91,7 @@ def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = Non
     if estimator:
         parser.add_argument("--estimator", choices=("analytic", "montecarlo"), default=None,
                             help="override the workload's estimator")
-        parser.add_argument("--mc-samples", type=_parse_mc_samples, default=None,
+        parser.add_argument("--mc-samples", type=_int_at_least(MIN_MC_SAMPLES, "mc-samples"), default=None,
                             help=f"override the Monte Carlo sample count (at least {MIN_MC_SAMPLES})")
         parser.add_argument("--seed", type=_parse_seed, default=None,
                             help="rng seed (decimal or 0x-hex); required for montecarlo")
@@ -110,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--method", choices=("sqrt", "grid", "descent"), default="descent")
     p.add_argument("--grid-resolution", type=int, default=100, help="lattice parts for --method grid")
-    p.add_argument("--max-iters", type=int, default=5000, help="iteration cap for --method descent")
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--max-iters", type=_int_at_least(1, "max-iters"), default=5000,
+                   help="iteration cap for --method descent")
+    p.add_argument("--tol", type=_parse_tol, default=1e-10,
                    help="stop --method descent once the Frank-Wolfe gap is at most this times the metric")
     p.add_argument("--allow-nonconverged", action="store_true",
                    help="exit 0 even when descent hits the iteration cap")

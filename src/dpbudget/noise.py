@@ -1,4 +1,4 @@
-"""Laplace-mechanism noise: profiles, seeded sampling, and noisy releases.
+"""Laplace-mechanism noise: seeded sampling and noisy releases.
 
 Sampling is counter-based and reproducible: statistic ``i`` under seed
 ``s`` owns an independent Philox stream keyed by ``(s, i)``, and the
@@ -8,46 +8,13 @@ Sampling is counter-based and reproducible: statistic ``i`` under seed
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ValidationIssue
-from .workload import BudgetAllocation, Workload, _check_number, validate_allocation
+from .workload import BudgetAllocation, Workload, validate_allocation
 
 _UINT64_MASK = (1 << 64) - 1
 # Largest |u| fed to the inverse CDF; keeps log1p(-2|u|) finite.
 _U_LIMIT = 0.5 - 2.0**-54
-
-
-@dataclass(frozen=True)
-class NoiseProfile:
-    """Noise summary for one Laplace release.
-
-    scale is sensitivity/budget; variance is 2*scale**2; expected_abs is
-    the mean absolute noise, which equals the scale.
-    """
-
-    scale: float
-    variance: float
-    expected_abs: float
-
-
-def noise_profile(sensitivity: float, budget: float) -> NoiseProfile:
-    """Characterizes the noise a statistic receives under a given budget.
-
-    Raises ValueError naming each argument that a workload or an allocation
-    would refuse, with the same codes and messages (MalformedDocument,
-    NonPositiveSensitivity, NonPositiveBudget).
-    """
-    issues: list[ValidationIssue] = []
-    _check_number(issues, sensitivity, "sensitivity", nonpositive_code="NonPositiveSensitivity")
-    _check_number(issues, budget, "budget", nonpositive_code="NonPositiveBudget")
-    if issues:
-        raise ValueError("; ".join(str(issue) for issue in issues))
-    scale = sensitivity / budget
-    return NoiseProfile(scale=scale, variance=2.0 * scale * scale, expected_abs=scale)
 
 
 def noise_stream(seed: int, index: int) -> np.random.Generator:
@@ -94,11 +61,6 @@ def _laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray, magnitude: n
     return np.copysign(magnitude, u, out=u)
 
 
-def sample_noise(scale: float, stream: np.random.Generator) -> float:
-    """Draws the next Laplace(scale) variate from a stream."""
-    return float(sample_noise_batch(scale, stream, 1)[0])
-
-
 def release_statistics(workload: Workload, allocation: BudgetAllocation, seed: int) -> dict[str, float]:
     """Releases every statistic once: reference value plus fresh Laplace noise.
 
@@ -108,10 +70,6 @@ def release_statistics(workload: Workload, allocation: BudgetAllocation, seed: i
     released = {}
     for index, spec in enumerate(workload.statistics):
         scale = spec.sensitivity / allocation.budgets[spec.id]
-        released[spec.id] = spec.reference_value + sample_noise(scale, noise_stream(seed, index))
+        released[spec.id] = spec.reference_value + float(sample_noise_batch(scale, noise_stream(seed, index), 1)[0])
     return released
 
-
-def consumed_budget(allocation: BudgetAllocation) -> float:
-    """Total privacy budget spent by the release, by sequential composition."""
-    return math.fsum(allocation.budgets.values())

@@ -329,8 +329,8 @@ def replay_montecarlo(
 
     ``expressions`` holds (label, tree) pairs; the label names an expression in the errors below. Each
     statistic any expression reads gets its stream ``noise_stream(seed, index)``, drawn once in
-    CHUNK-sample pieces, so trial ``t`` sees the same noise as in a single release. This thread and, unless
-    the call is one chunk of one group of streams, a helper thread produce each chunk's noise (_Noise); the
+    CHUNK-sample pieces, so trial ``t`` sees the same noise as in a single release. This thread and, when
+    a chunk holds more than one group of streams, a helper thread produce each chunk's noise (_Noise); the
     helper is joined before the call returns or raises, and results do not depend on it. Every expression
     is evaluated on each chunk, on this thread, and its errors (output minus reference output) are
     summarized on the fly: memory is O(2 x CHUNK x statistics + expressions x tail size). The fixed chunk
@@ -410,7 +410,7 @@ def _draw_uniforms(generators: list[np.random.Generator], rows: np.ndarray, size
 
 class _Noise:
     """One call's noise, produced chunk by chunk into one of two (streams x CHUNK) buffers by this thread
-    and, unless the call is one chunk of one group, one helper thread, started here and joined in ``close``.
+    and, when a chunk holds more than one group, one helper thread, started here and joined in ``close``.
 
     ``post`` puts a chunk's groups of ceil(_GROUP_VALUES / size) streams in ``pending``, a deque: this thread
     claims them from its front in ``fill``, the helper from its back, each pop atomic. ``produce`` draws a
@@ -435,7 +435,7 @@ class _Noise:
         self.woken, self.idle = threading.Semaphore(0), threading.Semaphore(0)
         self.closed, self.error, self.errstate = False, None, np.geterr()
         self.helper = None
-        if len(sizes) > 1 or len(specs) > -(-_GROUP_VALUES // sizes[0]):
+        if len(specs) > -(-_GROUP_VALUES // sizes[0]):
             self.helper = threading.Thread(target=self._help, name="dpbudget-draws")
             self.helper.start()
 

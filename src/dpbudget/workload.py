@@ -107,9 +107,6 @@ class Workload:
     def reference_values(self) -> dict[str, float]:
         return {spec.id: spec.reference_value for spec in self.statistics}
 
-    def sensitivities(self) -> dict[str, float]:
-        return {spec.id: spec.sensitivity for spec in self.statistics}
-
     def to_dict(self) -> dict[str, Any]:
         """Document form; feeding it back to load_workload reproduces the workload."""
         return {

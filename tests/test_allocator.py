@@ -233,6 +233,33 @@ def test_descent_reports_nonconvergence_at_tiny_iteration_cap():
     validate_allocation(workload, result.allocation)
 
 
+def test_descent_certifies_a_finite_optimum_where_the_cubic_overflows():
+    # In each, x exp(shift / 2) in _surrogate_minimum overflows as the shift grows; descent returned NaN
+    # budgets there, which its own result refused with a ValidationError.
+    def product(epsilon, s1):
+        return make_workload(epsilon=epsilon, stats=(s1, ("s2", 1.0, 1e300)), equations=(("eq", "s1 * s2", 1.0),))
+
+    # s1's amplitude dwarfs s2's coefficient, so s2 sits on the floor; then an interior optimum.
+    floored = [product(1.0, ("s1", 1.0, 1.0)), product(2e100, ("s1", 1e10, 1e-90))]
+    interior = make_workload(
+        stats=(("s1", 1.0, 1.0), ("s2", 1.0, 1.0)), equations=(("eq", "1e300 * s1 + 3e299 * s2", 1.0),)
+    )
+    for workload in [*floored, interior]:
+        result = optimize_descent(workload)
+        assert result.converged and math.isfinite(result.metric)
+        assert 0.0 <= result.gap <= 1e-10 * result.metric
+        assert result.metric <= grid_search(workload, 100).metric
+        if workload is not interior:
+            assert result.allocation.budgets["s2"] == workload.min_budget
+    assert result.allocation.budgets["s1"] == pytest.approx(0.6905, abs=1e-4)
+
+
+def test_budgets_that_are_not_finite_are_a_computation_error(monkeypatch):
+    monkeypatch.setattr(allocator, "_surrogate_minimum", lambda c, d, floor, shift: (c * math.nan, shift))
+    with pytest.raises(NonFiniteError, match="budgets are not finite"):
+        optimize_descent(paper_workload())
+
+
 def test_permutation_equivariance_on_generic_instance():
     stats = (("s1", 1.0, 10.0), ("s2", 2.0, 20.0), ("s3", 0.7, 30.0))
     equations = (("e1", "s1 + s3", 1.5),)
@@ -250,7 +277,7 @@ def closed_form(workload, budgets):
     from gradient_at_reference, the sensitivities and the budgets only."""
     normalize = workload.options.normalize_by_sensitivity
     refs = workload.reference_values()
-    sens = workload.sensitivities()
+    sens = {spec.id: spec.sensitivity for spec in workload.statistics}
     us = {i: SQRT2 * (1.0 if normalize else sens[i]) / budgets[i] for i in workload.statistic_ids}
     rmse = {}
     for equation in workload.equations:

@@ -171,6 +171,35 @@ def test_optimize_nonconverged_exit_code(tmp_path, capsys):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-iters", "0"), ("--max-iters", "-3"), ("--max-iters", "2.5"),
+     ("--tol", "nan"), ("--tol", "-0.5"), ("--tol", "inf"), ("--tol", "tight")],
+)
+def test_descent_iteration_cap_and_tolerance_are_usage_rules(capsys, flag, value):
+    code, out, err = run(capsys, "optimize", "--workload", PAPER, flag, value)
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
+
+
+def test_optimize_descent_certifies_a_workload_whose_cubic_overflows(tmp_path, capsys):
+    # s2's reference 1e300 makes s1's amplitude dwarf its coefficient; descent once printed NaN budgets here.
+    workload = _write(tmp_path, "w.json", json.dumps({
+        "epsilon": 1.0,
+        "statistics": [
+            {"id": "s1", "sensitivity": 1.0, "reference_value": 1.0},
+            {"id": "s2", "sensitivity": 1.0, "reference_value": 1e300},
+        ],
+        "equations": [{"id": "eq", "expression": "s1 * s2", "sensitivity": 1.0}],
+    }))
+    code, out, err = run(capsys, "optimize", "--workload", workload)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["converged"] and 0.0 <= result["gap"] <= 1e-10 * result["metric"] < math.inf
+    assert result["allocation"]["budgets"] == {"s1": pytest.approx(1.0 - 1e-6), "s2": 1e-6}
+
+
 def test_simulate_requires_seed(capsys):
     code, _, err = run(capsys, "simulate", "--workload", PAPER, "--allocation", UNIFORM)
     assert code == 2

@@ -1,6 +1,6 @@
 """The Monte Carlo kernel's helper thread, which produces noise groups alongside the caller: it never
-outlives a call, results do not depend on it, nothing traced runs on it, and a call of one chunk and
-one group starts none. No test here depends on which thread claims which group."""
+outlives a call, results do not depend on it, nothing traced runs on it, and a call of one group per
+chunk starts none. No test here depends on which thread claims which group."""
 
 import importlib.util
 import json
@@ -66,12 +66,18 @@ def _wide(statistics, samples=1000):
 
 def test_multichunk_calls_leave_no_thread_running(thread_starts):
     before = threading.active_count()
-    workload, alloc = _montecarlo(3 * CHUNK + 5)
+    # Eight streams of a full chunk make two groups.
+    workload, alloc = _wide(8, 3 * CHUNK + 5)
     score_allocation(workload, alloc, seed=3)
     assert threading.active_count() == before
     simulate_pipeline(workload, alloc, 2 * CHUNK + 1, seed=7)
     assert threading.active_count() == before
-    # One helper per call of several chunks.
+    # One helper per call of several groups a chunk.
+    assert thread_starts == ["dpbudget-draws"] * 2
+    # The paper's four streams make one group a chunk, so its calls start none, however many chunks they have.
+    workload, alloc = _montecarlo(3 * CHUNK + 5)
+    score_allocation(workload, alloc, seed=3)
+    simulate_pipeline(workload, alloc, 2 * CHUNK + 1, seed=7)
     assert thread_starts == ["dpbudget-draws"] * 2
 
 
@@ -116,12 +122,13 @@ def test_reports_do_not_depend_on_the_draw_ahead_thread(monkeypatch, thread_star
         ]
 
     threaded = reports()
-    # Every call takes a helper but the one-chunk propagation, whose two streams make one group.
-    assert thread_starts == ["dpbudget-draws"] * 8
+    # Only the 40-statistic scores and simulations take a helper: the paper's four streams and each
+    # propagation's three make one group a chunk.
+    assert thread_starts == ["dpbudget-draws"] * 4
     _claims_nothing.runs = 0
     monkeypatch.setattr(propagation._Noise, "_help", _claims_nothing)
     inline = reports()
-    assert (len(thread_starts), _claims_nothing.runs) == (16, 8)
+    assert (len(thread_starts), _claims_nothing.runs) == (8, 4)
     assert threaded == inline
 
 
@@ -204,8 +211,8 @@ def test_the_helper_runs_under_the_callers_errstate(monkeypatch):
     assert helper_called.is_set()
 
 
-def test_sink_failure_propagates_joins_the_thread_and_leaves_no_dump(tmp_path, monkeypatch):
-    workload, alloc = _montecarlo(1000)
+def test_sink_failure_propagates_joins_the_thread_and_leaves_no_dump(tmp_path, monkeypatch, thread_starts):
+    workload, alloc = _wide(8)
     workload_path, allocation_path, dump = tmp_path / "w.json", tmp_path / "a.json", tmp_path / "trials.csv"
     workload_path.write_text(json.dumps(workload.to_dict()), encoding="utf-8")
     allocation_path.write_text(json.dumps(allocation_to_dict(alloc)), encoding="utf-8")
@@ -238,6 +245,7 @@ def test_sink_failure_propagates_joins_the_thread_and_leaves_no_dump(tmp_path, m
             "simulate", "--workload", str(workload_path), "--allocation", str(allocation_path),
             "--trials", str(3 * CHUNK), "--seed", "7", "--dump-trials", str(dump),
         ])
+    assert thread_starts == ["dpbudget-draws"]
     assert threading.active_count() == before
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "w.json"]
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from dpbudget import load_allocation, load_workload, propagate_variance_montecarlo
 from dpbudget.cli import run_cli
 
 DATA = Path(__file__).parent / "data"
@@ -49,6 +50,20 @@ CASES = {
 }
 # The --dump-trials file of simulate_multichunk.json's run, stored as its sha256 (the file is ~1 MB).
 DUMP_DIGEST = "simulate_multichunk_dump.sha256"
+# repr of propagate_variance_montecarlo on each equation at uniform.json, 70,000 samples (four full chunks
+# and a partial one), seed 3; recorded at commit 67f1f88, whose kernel drew these on a helper thread.
+MONTECARLO_PROPAGATION = {
+    "eq1": (
+        "PropagationResult(variance=64.43642510990584, rmse=8.027238584203165, method='montecarlo', "
+        "mc_detail=MonteCarloDetail(samples=70000, bias_estimate=-0.01158351475949847, "
+        "trimmed_rmse=7.937984431204504))"
+    ),
+    "eq2": (
+        "PropagationResult(variance=0.006785339099037636, rmse=0.08237603651709685, method='montecarlo', "
+        "mc_detail=MonteCarloDetail(samples=70000, bias_estimate=0.0006872359336059738, "
+        "trimmed_rmse=0.08138682502988094))"
+    ),
+}
 
 
 def _stdout(argv: list[str]) -> bytes:
@@ -75,6 +90,16 @@ def test_report_bytes_match_golden(name):
 
 def test_multichunk_dump_digest_matches_golden(tmp_path):
     assert _dump_digest(tmp_path) == (GOLDEN / DUMP_DIGEST).read_bytes()
+
+
+def test_montecarlo_propagation_matches_golden():
+    workload = load_workload((DATA / "paper4.json").read_text(encoding="utf-8"))
+    uniform = load_allocation(Path(_UNIFORM).read_text(encoding="utf-8"), workload)
+    results = {
+        equation.id: repr(propagate_variance_montecarlo(equation.expression, workload, uniform, 70000, seed=3))
+        for equation in workload.equations
+    }
+    assert results == MONTECARLO_PROPAGATION
 
 
 if __name__ == "__main__":
