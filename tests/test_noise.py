@@ -90,10 +90,16 @@ def test_copied_sign_transform_equals_the_sign_product_bit_for_bit():
     assert math.copysign(1.0, float(_laplace_from_uniform(np.array([0.5]), 2.0)[0])) == 1.0
 
 
+def test_batch_draws_extend_scalar_draws():
+    stream_a = noise_stream(5, 2)
+    prefix = sample_noise_batch(2.5, stream_a, 10)
+    stream_b = noise_stream(5, 2)
+    replay = np.concatenate([sample_noise_batch(2.5, stream_b, 1) for _ in range(10)])
+    assert np.array_equal(prefix, replay)
+
+
 def test_consecutive_chunks_of_a_stream_equal_one_draw():
-    # Chunks of the kernel's size, the last partial, and chunks of one draw each.
-    for sizes in ((2**14, 2**14, 123), (1,) * 10):
-        stream = noise_stream(9, 3)
-        chunks = [sample_noise_batch(1.5, stream, size) for size in sizes]
-        whole = sample_noise_batch(1.5, noise_stream(9, 3), sum(sizes))
-        assert np.array_equal(np.concatenate(chunks), whole)
+    stream = noise_stream(9, 3)
+    chunks = [sample_noise_batch(1.5, stream, size) for size in (2**14, 2**14, 123)]
+    whole = sample_noise_batch(1.5, noise_stream(9, 3), 2 * 2**14 + 123)
+    assert np.array_equal(np.concatenate(chunks), whole)
