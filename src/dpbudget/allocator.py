@@ -26,10 +26,9 @@ from .errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError,
 from .expressions import free_statistics
 from .propagation import FirstOrderModel, budget_vector
 from .scoring import score_validated
-from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
+from .workload import MIN_GRID_RESOLUTION, BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 _GRID_MAX_STATISTICS = 5
-_GRID_MIN_RESOLUTION = 10
 _GRID_CHUNK = 1 << 18
 # The most lattice cells grid search enumerates (resolution 100 on 5 statistics has 3,764,376).
 _GRID_MAX_CELLS = 1 << 22
@@ -52,7 +51,7 @@ class _Objective:
     """The closed-form metric under ``options`` in shares u = b / epsilon of the budget:
     f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, and the metric at budgets b is f(b / epsilon) / ``scale``.
     c and the amplitudes are per the model's budget unit, and f reads u as budgets in it, so ``scale`` is
-    epsilon / unit: epsilon itself unless a coefficient overflows at unit 1 (propagation._per_unit).
+    epsilon / unit: epsilon itself unless a coefficient overflows at unit 1 (see FirstOrderModel).
 
     sigma_j is the 2-norm of a_ji / u_i over the amplitudes a_ji; one-statistic equations
     (sigma_j = a_ji / u_i) are folded into c as r = a / n. As sigma <= sigma^2 / (2t) + t / 2, equal at
@@ -78,7 +77,7 @@ class _Objective:
         to d. The gap, g . u less the least g . s over the floored simplex,
         bounds f(u) - min f (f is convex): sum_i (u_i - floor)(g_i - min g).
         """
-        statistic_part, equation_part = self.model.terms(shares, in_units=True)
+        statistic_part, equation_part = self.model.terms(shares)
         half = np.divide(0.5, equation_part, out=np.zeros_like(equation_part), where=equation_part > 0.0)
         d = np.bincount(self.cols, self.r * (self.r * half[self.rows]), minlength=shares.size)
         scaled = -(self.c + 2.0 * d / shares) / shares
@@ -215,8 +214,8 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
     count = len(workload.statistics)
     if count > _GRID_MAX_STATISTICS:
         raise TooManyStatisticsError(f"grid search supports at most {_GRID_MAX_STATISTICS} statistics, got {count}")
-    if resolution < _GRID_MIN_RESOLUTION:
-        raise ResolutionTooCoarseError(f"resolution must be at least {_GRID_MIN_RESOLUTION}, got {resolution}")
+    if resolution < MIN_GRID_RESOLUTION:
+        raise ResolutionTooCoarseError(f"resolution must be at least {MIN_GRID_RESOLUTION}, got {resolution}")
     cells = math.comb(resolution - 1, count - 1)
     if cells > _GRID_MAX_CELLS:
         shown = cells if cells < 1e18 else f"about 1e{math.log10(cells):.0f}"  # str() refuses huge ints
@@ -236,7 +235,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
                 shares = shares[feasible]
                 if shares.size == 0:
                     continue
-        values = objective.model.metric_batch(shares, in_units=True)
+        values = objective.model.metric_batch(shares)
         evaluated += values.size
         i = int(np.argmin(values))
         if values[i] < best_value:

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DPBudgetError, ValidationError, ValidationIssue
 from .workload import (
+    MIN_GRID_RESOLUTION,
     MIN_MC_SAMPLES,
     MetricOptions,
     Workload,
@@ -119,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="search for a low-metric allocation")
     _add_common(p)
     p.add_argument("--method", choices=("sqrt", "grid", "descent"), default="descent")
-    p.add_argument("--grid-resolution", type=int, default=100, help="lattice parts for --method grid")
+    p.add_argument("--grid-resolution", type=_int_at_least(MIN_GRID_RESOLUTION, "grid-resolution"), default=100,
+                   help=f"lattice parts for --method grid (at least {MIN_GRID_RESOLUTION})")
     p.add_argument("--max-iters", type=_int_at_least(1, "max-iters"), default=5000,
                    help="iteration cap for --method descent")
     p.add_argument("--tol", type=_parse_tol, default=1e-10,
@@ -130,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replay noisy releases and check errors against predictions")
     _add_common(p, allocation="single")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_int_at_least(1, "trials"), default=10000)
     p.add_argument("--seed", type=_parse_seed, default=None, required=False,
                    help="rng seed (decimal or 0x-hex); required")
     p.add_argument("--dump-trials", metavar="PATH", help="also write per-trial errors as CSV")
@@ -318,16 +320,16 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             result = grid_search(workload, args.grid_resolution)
         else:
             result = optimize_descent(workload, max_iters=args.max_iters, tol=args.tol)
-        _print_optimization(result, args.format)
-        if not result.converged and not args.allow_nonconverged:
-            print(
-                f"descent did not converge within {args.max_iters} iterations "
-                "(pass --allow-nonconverged to accept the best allocation found)",
-                file=sys.stderr,
-            )
-            return EXIT_COMPUTE
-        if handle is not None:
+        if handle is not None and (result.converged or args.allow_nonconverged):
             handle.write(json.dumps(allocation_to_dict(result.allocation), sort_keys=True, indent=2) + "\n")
+    _print_optimization(result, args.format)  # after the block: a closed stdout is not an unwritable --out
+    if not result.converged and not args.allow_nonconverged:
+        print(
+            f"descent did not converge within {args.max_iters} iterations "
+            "(pass --allow-nonconverged to accept the best allocation found)",
+            file=sys.stderr,
+        )
+        return EXIT_COMPUTE
     return EXIT_OK
 
 
@@ -418,7 +420,14 @@ def run_cli(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): Python's recipe, so that nothing is flushed there at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

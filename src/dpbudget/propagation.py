@@ -119,88 +119,112 @@ def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, di
     return value, partials
 
 
-def _per_unit(coefficients: Callable[[float], np.ndarray], epsilon: float, unit: float = 1.0) -> tuple:
-    """``coefficients(unit)`` and the budget unit they are per, in which the closed form reads budgets (b / unit).
+class FirstOrderModel:
+    """Sparse first-order (closed-form) metric of a workload over budget vectors: every analytic number.
 
-    The unit is ``unit``, 1 by default, so that a workload whose coefficients are finite is scored on its
-    budgets as given. Only when it is 1 and a coefficient overflows there, it becomes the smallest power of
-    four not below epsilon (2**1022 at most): a budget is at most epsilon, so a coefficient per that unit is
-    at most a score it adds to, and is finite wherever the scores are. A budget far below epsilon then
-    loses bits in it or underflows (an infinite score); at unit 1 such a workload had no finite
-    coefficient. A power of four keeps the optimizers' square roots exact.
+    Built once per public call over (label, tree) ``expressions``, by default the workload's equations
+    labelled "equation 'id'"; a Monte Carlo score builds it over none, and so computes no gradient. For
+    every nonzero partial g of expression j in statistic i it stores the row j, the column i and the
+    amplitude sqrt(2) * |g| * sensitivity_i / unit, so expression j's predicted rmse at budgets b is the
+    2-norm of amplitude / (b_i / unit) over its row (``rmse``). Each statistic's coefficient is
+    sqrt(2) * sensitivity / unit (sqrt(2) / unit under normalization), whose quotient by its budget in units
+    is its score, and each workload equation's norm is its sensitivity under normalization, else 1.
+
+    The budget unit is 1, so that a workload whose coefficients are finite is scored on its budgets as
+    given. Only when a coefficient or an amplitude overflows at 1 is it the smallest power of four not below
+    epsilon (2**1022 at most): a budget is at most epsilon, so a coefficient per that unit is at most a score
+    it adds to, and is finite wherever the scores are. A budget far below epsilon then loses bits in it or
+    underflows (an infinite score); at unit 1 such a workload had no finite coefficient. A power of four
+    keeps the optimizers' square roots exact. Every method reads budgets in the unit (``units``).
+
+    Entries run by expression, then by statistic index: that order fixes the order of every sum over a
+    row, and so keeps every report byte-identical. Cost is linear in the Jacobian's nonzeros. An
+    expression's value at the reference values or amplitude that is not finite raises NonFiniteError
+    naming it by its label.
     """
-    with np.errstate(over="ignore"):
-        values = coefficients(unit)
-        if unit != 1.0 or np.isfinite(values).all():
-            return values, unit
-        mantissa, exponent = math.frexp(epsilon)
-        power = exponent - 1 if mantissa == 0.5 else exponent  # the smallest power of two not below epsilon
-        unit = math.ldexp(1.0, min(power + power % 2, 1022))
-        return coefficients(unit), unit
 
+    def __init__(self, workload: Workload, normalize: bool, expressions: Sequence[tuple[str, Expr]] | None = None):
+        trees = [eq.expression for eq in workload.equations] if expressions is None else [ast for _, ast in expressions]
 
-class _Scales:
-    """What every route's scores read besides the equation rmses: each statistic's coefficient
-    sqrt(2) * sensitivity / unit (sqrt(2) / unit under normalization), whose quotient by its budget in
-    units is the statistic's score, and each equation's norm (its sensitivity under normalization, else 1).
-    ``unit`` is the budget unit (_per_unit), 1 unless a coefficient overflows at 1. Budgets are passed
-    as they are; ``in_units=True`` says they are already divided by the unit, as the optimizers' are."""
+        def label(row: int) -> str:  # formatted only for an error: a workload may have thousands of equations
+            return f"equation {workload.equations[row].id!r}" if expressions is None else expressions[row][0]
 
-    def __init__(self, workload: Workload, normalize: bool, unit: float = 1.0):
+        refs = workload.reference_values()
+        index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
+        rows: list[int] = []
+        cols: list[int] = []
+        partials: list[float] = []
+        for row, ast in enumerate(trees):
+            value, gradient = _value_and_partials(ast, refs)
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{label(row)}: its value at the reference values is {value!r}")
+            rows += [row] * len(gradient)
+            cols += map(index_of.__getitem__, gradient)
+            partials += gradient.values()
+        partial_array = np.array(partials, dtype=float)
+        order = np.lexsort((cols, rows))
+        order = order[partial_array[order] != 0.0]
+        self.rows, self.cols = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
+        self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        magnitudes = _SQRT2 * np.abs(partial_array[order])
         sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
-        self.us_coeff, self.unit = _per_unit(
-            lambda unit: np.full(sens.size, _SQRT2 / unit) if normalize else _SQRT2 * (sens / unit),
-            workload.epsilon,
-            unit,
-        )
-        self.norms = np.array([eq.sensitivity if normalize else 1.0 for eq in workload.equations], dtype=float)
+        self.unit = 1.0
+        with np.errstate(over="ignore"):
+            coefficients_overflow = not (normalize or np.isfinite(_SQRT2 * sens).all())
+            if coefficients_overflow or not np.isfinite(magnitudes * sens[self.cols]).all():
+                mantissa, exponent = math.frexp(workload.epsilon)
+                power = exponent - 1 if mantissa == 0.5 else exponent  # the smallest power of two not below epsilon
+                self.unit = math.ldexp(1.0, min(power + power % 2, 1022))
+            per_unit = sens / self.unit
+            self.us_coeff = np.full(sens.size, _SQRT2 / self.unit) if normalize else _SQRT2 * per_unit
+            self.amplitudes = magnitudes * per_unit[self.cols]
+        overflowed = np.flatnonzero(~np.isfinite(self.amplitudes))
+        if overflowed.size:
+            entry = overflowed[0]
+            raise NonFiniteError(
+                f"{label(self.rows[entry])}: its first-order amplitude in statistic "
+                f"{workload.statistics[self.cols[entry]].id!r} is {float(self.amplitudes[entry])!r} "
+                "at the reference values"
+            )
+        sensitivities = [eq.sensitivity for eq in workload.equations] if normalize else [1.0] * len(workload.equations)
+        self.norms = np.array(sensitivities, dtype=float)
+        self.n_eq = len(trees)
+        self.workload = workload
 
-    def statistic_terms(self, budgets: np.ndarray, in_units: bool = False) -> np.ndarray:
+    def units(self, allocation: BudgetAllocation) -> np.ndarray:
+        """A validated allocation's budgets in workload-statistic order, in the unit: the model's budget vector."""
+        return budget_vector(self.workload, allocation) / self.unit
+
+    def statistic_terms(self, units: np.ndarray) -> np.ndarray:
         """Per-statistic scores at a budget vector, or a batch with statistics on the last axis; inf on overflow."""
         with np.errstate(over="ignore"):
-            return self.us_coeff / (budgets if in_units else budgets / self.unit)
+            return self.us_coeff / units
 
-
-class FirstOrderModel(_Scales):
-    """Sparse first-order (closed-form) metric of a workload over budget vectors.
-
-    Built once per public call from one gradient per equation. For every
-    nonzero partial g of equation j in statistic i it stores the row j, the
-    column i and the amplitude sqrt(2) * |g| * sensitivity_i / unit, so
-    equation j's predicted rmse at budgets b is the 2-norm of amplitude /
-    (b_i / unit) over its row (``_row_norms``). Cost is linear in the
-    Jacobian's nonzeros. Budget vectors are indexed in workload-statistic
-    order and are not validated. An equation's value at the reference values
-    or amplitude that overflows (or is NaN) raises NonFiniteError naming the
-    equation.
-    """
-
-    def __init__(self, workload: Workload, normalize: bool):
-        super().__init__(workload, normalize)
-        equations = workload.equations
-        self.rows, self.cols, self.amplitudes, self.starts, unit = _jacobian_amplitudes(
-            workload, [eq.expression for eq in equations], lambda row: f"equation {equations[row].id!r}", self.unit
-        )
-        if unit != self.unit:  # an amplitude overflows at unit 1, so the statistics' coefficients move too
-            super().__init__(workload, normalize, unit)
-        self.n_eq = len(workload.equations)
-
-    def terms(self, budgets: np.ndarray, in_units: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """Per-statistic and per-equation scores (the report's us/ue terms) at a budget vector,
-        or at a batch with statistics on the last axis; inf where one overflows (then NonFiniteError)."""
-        units = budgets if in_units else budgets / self.unit
+    def rmse(self, units: np.ndarray) -> np.ndarray:
+        """The closed form: each expression's predicted rmse at a budget vector, or at a batch with statistics
+        on the last axis, the 2-norm of the amplitude / budget ratios of its row (0 for a row without entries).
+        hypot never squares an unscaled magnitude (a robust norm, as in Blue 1978), so only a true overflow is inf."""
         with np.errstate(over="ignore"):
             # In place, and each temporary dropped before the next: a grid batch is large.
             ratios = units[..., self.cols]
             np.divide(self.amplitudes, ratios, out=ratios)
-            rmse = _row_norms(ratios, self.rows, self.starts, self.n_eq)
-            del ratios
-            rmse /= self.norms
-        return self.statistic_terms(units, in_units=True), rmse
+            norms = np.hypot.reduceat(ratios, self.starts, axis=-1)
+        del ratios
+        if self.starts.size == self.n_eq:
+            return norms
+        full = np.zeros(norms.shape[:-1] + (self.n_eq,))
+        full[..., self.rows[self.starts]] = norms
+        return full
 
-    def metric_batch(self, budget_rows: np.ndarray, in_units: bool = False) -> np.ndarray:
+    def terms(self, units: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-statistic and per-equation scores (the report's us/ue terms) of a model over the workload's
+        equations at a budget vector, or at a batch with statistics on the last axis; inf where one overflows."""
+        with np.errstate(over="ignore"):
+            return self.statistic_terms(units), self.rmse(units) / self.norms
+
+    def metric_batch(self, units: np.ndarray) -> np.ndarray:
         """Metric of each row of a batch of budget vectors; inf where it overflows."""
-        statistic_part, equation_part = self.terms(budget_rows, in_units)
+        statistic_part, equation_part = self.terms(units)
         with np.errstate(over="ignore"):
             return statistic_part.sum(axis=-1) + equation_part.sum(axis=-1)
 
@@ -208,58 +232,6 @@ class FirstOrderModel(_Scales):
 def budget_vector(workload: Workload, allocation: BudgetAllocation) -> np.ndarray:
     """Budgets of a validated allocation in workload-statistic order."""
     return np.array([allocation.budgets[stat_id] for stat_id in workload.statistic_ids], dtype=float)
-
-
-def _jacobian_amplitudes(
-    workload: Workload, expressions: list[Expr], label: Callable[[int], str], unit: float = 1.0
-) -> tuple:
-    """Flat (row, column, sqrt(2) * |g| * sensitivity / unit) arrays of the nonzero partials, where each
-    row starts, and the budget unit (_per_unit: ``unit``, unless that is 1 and an amplitude overflows at it).
-
-    Entries run by expression, then by statistic index: that order fixes the
-    order of every sum over a row, and so keeps every report byte-identical.
-    A value at the reference values or an amplitude that is not finite raises
-    NonFiniteError naming the expression by ``label(row)``.
-    """
-    refs = workload.reference_values()
-    index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
-    rows: list[int] = []
-    cols: list[int] = []
-    partials: list[float] = []
-    for row, ast in enumerate(expressions):
-        value, gradient = _value_and_partials(ast, refs)
-        if not math.isfinite(value):
-            raise NonFiniteError(f"{label(row)}: its value at the reference values is {value!r}")
-        rows += [row] * len(gradient)
-        cols += map(index_of.__getitem__, gradient)
-        partials += gradient.values()
-    partial_array = np.array(partials, dtype=float)
-    order = np.lexsort((cols, rows))
-    order = order[partial_array[order] != 0.0]
-    row_array, col_array = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
-    magnitudes = np.abs(partial_array[order])
-    sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)
-    amplitudes, unit = _per_unit(lambda unit: _SQRT2 * magnitudes * (sens / unit)[col_array], workload.epsilon, unit)
-    overflowed = np.flatnonzero(~np.isfinite(amplitudes))
-    if overflowed.size:
-        entry = overflowed[0]
-        raise NonFiniteError(
-            f"{label(row_array[entry])}: its first-order amplitude in statistic "
-            f"{workload.statistics[col_array[entry]].id!r} is {float(amplitudes[entry])!r} at the reference values"
-        )
-    return row_array, col_array, amplitudes, np.flatnonzero(np.diff(row_array, prepend=-1)), unit
-
-
-def _row_norms(ratios: np.ndarray, rows: np.ndarray, starts: np.ndarray, n_rows: int) -> np.ndarray:
-    """The closed form: each row's predicted rmse, the 2-norm of the a / b ``ratios`` of its entries
-    (on the last axis, one budget vector or a batch), 0 for a row without entries. hypot never
-    squares an unscaled magnitude (a robust norm, as in Blue 1978), so only a true overflow is inf."""
-    norms = np.hypot.reduceat(ratios, starts, axis=-1)
-    if starts.size == n_rows:
-        return norms
-    full = np.zeros(ratios.shape[:-1] + (n_rows,))
-    full[..., rows[starts]] = norms
-    return full
 
 
 def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: BudgetAllocation) -> PropagationResult:
@@ -274,9 +246,8 @@ def propagate_variance_analytic(ast: Expr, workload: Workload, allocation: Budge
     A value at the reference values or a variance that overflows is NonFiniteError.
     """
     allocation = validate_allocation(workload, allocation)
-    rows, cols, amplitudes, starts, unit = _jacobian_amplitudes(workload, [ast], lambda row: "expression")
-    with np.errstate(over="ignore"):
-        rmse = float(_row_norms(amplitudes / (budget_vector(workload, allocation) / unit)[cols], rows, starts, 1)[0])
+    model = FirstOrderModel(workload, False, [("expression", ast)])
+    rmse = float(model.rmse(model.units(allocation))[0])
     if not math.isfinite(rmse * rmse):
         raise NonFiniteError(f"the predicted variance overflows at this allocation ({rmse * rmse!r})")
     return PropagationResult(variance=rmse * rmse, rmse=rmse, method="analytic")
@@ -305,10 +276,11 @@ def propagate_variance_montecarlo(
     """
     allocation = validate_allocation(workload, allocation)
     check_mc_samples(samples)
-    result = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [_ErrorSummary])[0]
-    if not math.isfinite(result.variance):
-        raise NonFiniteError(f"expression: its Monte Carlo variance overflows ({result.variance!r})")
-    return result
+    summary = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [_ErrorSummary])[0]
+    variance = summary.variance()
+    if not math.isfinite(variance):
+        raise NonFiniteError(f"expression: its Monte Carlo variance overflows ({variance!r})")
+    return PropagationResult(variance, summary.rmse(), method="montecarlo", mc_detail=summary.detail())
 
 
 def check_mc_samples(samples: int) -> None:
@@ -324,7 +296,7 @@ def replay_montecarlo(
     seed: int,
     summaries: Sequence[type[_SquareSum]],
     sink: Callable[[int, list[np.ndarray]], None] | None = None,
-) -> list:
+) -> list[_SquareSum]:
     """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
 
     ``expressions`` holds (label, tree) pairs; the label names an expression in the errors below. Each
@@ -337,10 +309,10 @@ def replay_montecarlo(
     size fixes the summation order, and so the report bytes. ``sink``, if given, receives each chunk's
     start index and per-expression errors (NaN at excluded samples).
 
-    ``summaries[i]`` is expression i's summary type, sized to what its caller reports; its ``result`` is
-    what the kernel returns for it: the rmse (_SquareSum), (rmse, MonteCarloDetail) (_TailSummary) or a
-    PropagationResult with the variance (_ErrorSummary). An rmse is inf only when an error is; a caller
-    that reports the variance checks it. The allocation must be validated and ``count`` at least 1.
+    ``summaries[i]`` is expression i's summary type, sized to what its caller reports: the rmse
+    (_SquareSum), also its MonteCarloDetail (_TailSummary), also its variance (_ErrorSummary). The kernel
+    returns the summaries, each rmse checked finite (it is inf only when an error is); a caller that
+    reports the variance checks it. The allocation must be validated and ``count`` at least 1.
 
     Raises:
         DivisionNearZeroError: an expression is degenerate at the reference.
@@ -362,17 +334,16 @@ def replay_montecarlo(
     kept = [summary(count) for summary in summaries]
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
-    results = []
     with np.errstate(over="ignore", invalid="ignore"):
         # Made inside this block, the helper runs under its np.errstate (numpy keeps one per thread).
         noise = _Noise(specs, allocation, seed, sizes)
         try:
             noise.post(0, sizes[0])
             for number, size in enumerate(sizes):
-                noise.fill()
+                rows = noise.fill()
                 if number + 1 < len(sizes):
                     noise.post(number + 1, sizes[number + 1])
-                released = dict(zip([spec.id for _, spec in specs], noise.buffers[number % 2][:, :size]))
+                released = dict(zip([spec.id for _, spec in specs], rows[:, :size]))
                 chunk_errors = []
                 for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, kept):
                     invalid = np.zeros(size, dtype=bool) if divide else None
@@ -398,8 +369,7 @@ def replay_montecarlo(
             rmse = summary.rmse()
             if not math.isfinite(rmse):
                 raise NonFiniteError(f"{label}: its Monte Carlo errors overflow (rmse {rmse!r})")
-            results.append(summary.result(rmse))
-    return results
+    return kept
 
 
 def _draw_uniforms(generators: list[np.random.Generator], rows: np.ndarray, size: int) -> None:
@@ -409,16 +379,18 @@ def _draw_uniforms(generators: list[np.random.Generator], rows: np.ndarray, size
 
 
 class _Noise:
-    """One call's noise, produced chunk by chunk into one of two (streams x CHUNK) buffers by this thread
-    and, when a chunk holds more than one group, one helper thread, started here and joined in ``close``.
+    """One call's noise, produced chunk by chunk into a (streams x CHUNK) buffer by this thread and, when a
+    chunk holds more than one group, one helper thread, started here and joined in ``close``. Each thread
+    has a scratch array; only the helper, which produces chunk c + 1 while chunk c is evaluated, needs a
+    second buffer.
 
     ``post`` puts a chunk's groups of ceil(_GROUP_VALUES / size) streams in ``pending``, a deque: this thread
     claims them from its front in ``fill``, the helper from its back, each pop atomic. ``produce`` draws a
     group's rows, turns that block into Laplace variates in place (|u| in the thread's scratch) and adds the
-    reference values. ``fill`` returns once the helper is done too, re-raising what it raised; only then is
-    the next chunk posted, so each stream is drawn once per chunk, in chunk order, and the helper starts chunk
-    c + 1 before chunk c is evaluated. It runs under the caller's np.errstate, allocates no array and calls
-    nothing the benchmark traces; Generator.random and numpy's ufuncs release the GIL, so the threads overlap.
+    reference values. ``fill`` returns the chunk once the helper is done too, re-raising what it raised; only
+    then is the next chunk posted, so each stream is drawn once per chunk, in chunk order. The helper runs
+    under the caller's np.errstate, allocates no array and calls nothing the benchmark traces;
+    Generator.random and numpy's ufuncs release the GIL, so the threads overlap.
     """
 
     def __init__(self, specs: list, allocation: BudgetAllocation, seed: int, sizes: list[int]):
@@ -428,20 +400,22 @@ class _Noise:
         self.generators = [noise_stream(seed, index) for index, _ in specs]
         self.scales = np.array(scales, dtype=float)[:, None]
         self.references = np.array([spec.reference_value for _, spec in specs], dtype=float)[:, None]
-        self.buffers = [np.empty((len(specs), sizes[0])) for _ in sizes[:2]]
+        threads = 2 if len(specs) > -(-_GROUP_VALUES // sizes[0]) else 1
+        self.buffers = [np.empty((len(specs), sizes[0])) for _ in sizes[:threads]]
         # One per thread, the caller's first; a group holds fewer than _GROUP_VALUES + sizes[0] values.
-        self.scratch = [np.empty(min(len(specs) * sizes[0], _GROUP_VALUES + sizes[0])) for _ in range(2)]
+        self.scratch = [np.empty(min(len(specs) * sizes[0], _GROUP_VALUES + sizes[0])) for _ in range(threads)]
         self.pending: deque[int] = deque()
         self.woken, self.idle = threading.Semaphore(0), threading.Semaphore(0)
         self.closed, self.error, self.errstate = False, None, np.geterr()
         self.helper = None
-        if len(specs) > -(-_GROUP_VALUES // sizes[0]):
+        if threads == 2:
             self.helper = threading.Thread(target=self._help, name="dpbudget-draws")
             self.helper.start()
 
     def post(self, number: int, size: int) -> None:
         """Opens chunk ``number`` and wakes the helper, which is idle: it finished the last chunk in ``fill``."""
-        self.rows, self.size, self.group = self.buffers[number % 2], size, -(-_GROUP_VALUES // size)
+        self.rows, self.size = self.buffers[number % len(self.buffers)], size
+        self.group = -(-_GROUP_VALUES // size)
         self.pending.extend(range(-(-len(self.generators) // self.group)))
         self.woken.release()
 
@@ -458,13 +432,14 @@ class _Noise:
         _laplace_from_uniform(block, self.scales[rows], scratch[: block.size].reshape(block.shape))
         block += self.references[rows]
 
-    def fill(self) -> None:
+    def fill(self) -> np.ndarray:
         while (group := self.claim(False)) is not None:
             self.produce(group, self.scratch[0])
         if self.helper is not None:
             self.idle.acquire()
             if self.error is not None:
                 raise self.error
+        return self.rows
 
     def _help(self) -> None:
         """The helper thread: after each ``post``, claims groups from the back until none is left."""
@@ -549,10 +524,6 @@ class _SquareSum:
     def rmse(self) -> float:
         return _unscaled(math.sqrt(self.sum_sq / self.kept), self.shift)
 
-    def result(self, rmse: float) -> float:
-        """The kernel's result for this expression, given its checked rmse: the rmse itself."""
-        return rmse
-
 
 class _TailSummary(_SquareSum):
     """simulate's equation summary: _SquareSum's plus the mean of the kept errors (chunks merged by
@@ -604,16 +575,16 @@ class _TailSummary(_SquareSum):
         self.core_sq = math.ldexp(self.core_sq, -2 * delta)
         self.tails = np.ldexp(self.tails, -delta)
 
-    def result(self, rmse: float) -> tuple[float, MonteCarloDetail]:
+    def detail(self) -> MonteCarloDetail:
         drop = int(self.kept * TRIM_PER_TAIL)
         if drop == 0:
-            trimmed = rmse
+            trimmed = self.rmse()
         else:
             # The inner values of both tails join the core; drop <= k.
             inner = self.tails[drop : self.tails.size - drop]
             core_sq = self.core_sq + float((inner * inner).sum())
             trimmed = _unscaled(math.sqrt(core_sq / (self.kept - 2 * drop)), self.shift)
-        return rmse, MonteCarloDetail(self.kept, bias_estimate=_unscaled(self.mean, self.shift), trimmed_rmse=trimmed)
+        return MonteCarloDetail(self.kept, bias_estimate=_unscaled(self.mean, self.shift), trimmed_rmse=trimmed)
 
 
 class _ErrorSummary(_TailSummary):
@@ -640,6 +611,5 @@ class _ErrorSummary(_TailSummary):
         super()._rescale(delta)
         self.m2 = math.ldexp(self.m2, -2 * delta)
 
-    def result(self, rmse: float) -> PropagationResult:
-        variance = _unscaled(self.m2 / self.kept, 2 * self.shift)
-        return PropagationResult(variance, rmse, method="montecarlo", mc_detail=super().result(rmse)[1])
+    def variance(self) -> float:
+        return _unscaled(self.m2 / self.kept, 2 * self.shift)

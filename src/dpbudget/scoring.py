@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from .errors import NonFiniteError
-from .propagation import FirstOrderModel, _Scales, _SquareSum, budget_vector, check_mc_samples, replay_montecarlo
+from .propagation import FirstOrderModel, _SquareSum, check_mc_samples, replay_montecarlo
 from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
 
 
@@ -65,21 +65,21 @@ def score_allocation(
     return score_validated(_scorer(workload, options), workload, allocation, options, seed)
 
 
-def _scorer(workload: Workload, options: MetricOptions) -> _Scales:
-    """What score_validated reads: the first-order model, or for Monte Carlo, which reads no Jacobian, its _Scales."""
-    scales = _Scales if options.estimator == "montecarlo" else FirstOrderModel
-    return scales(workload, options.normalize_by_sensitivity)
+def _scorer(workload: Workload, options: MetricOptions) -> FirstOrderModel:
+    """What score_validated reads: the first-order model, over no expression (no gradient) for Monte Carlo."""
+    expressions = [] if options.estimator == "montecarlo" else None
+    return FirstOrderModel(workload, options.normalize_by_sensitivity, expressions)
 
 
 def score_validated(
-    model: _Scales,
+    model: FirstOrderModel,
     workload: Workload,
     allocation: BudgetAllocation,
     options: MetricOptions,
     seed: int | None,
 ) -> UtilityReport:
     """score_allocation on a validated allocation and ``_scorer(workload, options)``."""
-    budgets = budget_vector(workload, allocation)
+    budgets = model.units(allocation)
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")
@@ -87,9 +87,9 @@ def score_validated(
         expressions = [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
         # The score reads only each rmse, so the kernel keeps only each sum of squares.
         summaries = [_SquareSum] * len(expressions)
-        rmses = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, summaries)
+        kept = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, summaries)
         statistic_part = model.statistic_terms(budgets)
-        equation_part = [rmse / norm for rmse, norm in zip(rmses, model.norms.tolist())]
+        equation_part = [summary.rmse() / norm for summary, norm in zip(kept, model.norms.tolist())]
     else:
         statistic_part, equation_part = model.terms(budgets)
     us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .expressions import StatRef
-from .propagation import FirstOrderModel, _SquareSum, _TailSummary, budget_vector, replay_montecarlo
+from .propagation import FirstOrderModel, _SquareSum, _TailSummary, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
 
 # Below this many trials the rmse fields are reported but flagged unreliable.
@@ -69,7 +69,8 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
     # Unnormalized scores are the predicted rmse: sqrt(2) * sensitivity / budget per statistic.
-    statistic_part, equation_part = FirstOrderModel(workload, False).terms(budget_vector(workload, allocation))
+    model = FirstOrderModel(workload, False)
+    statistic_part, equation_part = model.terms(model.units(allocation))
     if not (np.isfinite(statistic_part).all() and np.isfinite(equation_part).all()):
         raise NonFiniteError("a predicted rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the
@@ -80,22 +81,20 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     # reports no variance, so its summary keeps no M2.
     n_stat = len(workload.statistics)
     summaries = [_SquareSum] * n_stat + [_TailSummary] * len(workload.equations)
-    results = replay_montecarlo(workload, allocation, expressions, trials, seed, summaries, sink)
+    kept = replay_montecarlo(workload, allocation, expressions, trials, seed, summaries, sink)
     per_statistic = {
-        spec.id: StatisticErrorSummary(empirical_rmse=rmse, predicted_rmse=predicted_rmse)
-        for spec, rmse, predicted_rmse in zip(workload.statistics, results, statistic_part.tolist())
+        spec.id: StatisticErrorSummary(empirical_rmse=summary.rmse(), predicted_rmse=predicted_rmse)
+        for spec, summary, predicted_rmse in zip(workload.statistics, kept, statistic_part.tolist())
     }
-    per_equation = {
-        equation.id: EquationErrorSummary(
-            empirical_rmse=rmse,
+    per_equation = {}
+    for equation, summary, predicted_rmse in zip(workload.equations, kept[n_stat:], equation_part.tolist()):
+        detail = summary.detail()
+        per_equation[equation.id] = EquationErrorSummary(
+            empirical_rmse=summary.rmse(),
             trimmed_rmse=detail.trimmed_rmse,
             bias=detail.bias_estimate,
             predicted_rmse=predicted_rmse,
         )
-        for equation, (rmse, detail), predicted_rmse in zip(
-            workload.equations, results[n_stat:], equation_part.tolist()
-        )
-    }
     return SimulationReport(
         trials=trials,
         seed=seed,

@@ -22,8 +22,9 @@ BUDGET_SUM_RTOL = 1e-9
 
 ESTIMATORS = ("analytic", "montecarlo")
 
-# Fewest samples a Monte Carlo estimate accepts.
+# Fewest samples a Monte Carlo estimate accepts, and fewest lattice parts grid search accepts.
 MIN_MC_SAMPLES = 1000
+MIN_GRID_RESOLUTION = 10
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 

@@ -22,7 +22,7 @@ from dpbudget import (
     validate_allocation,
 )
 from dpbudget import allocator
-from dpbudget.propagation import FirstOrderModel, budget_vector
+from dpbudget.propagation import FirstOrderModel
 from dpbudget.errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError, TooManyStatisticsError
 
 from helpers import allocation, make_workload, paper_workload, random_allocation, random_instance
@@ -321,10 +321,11 @@ def test_model_metric_agrees_with_canonical_scorer():
         simulated = simulate_pipeline(workload, alloc, trials=10, seed=5)
         for eq_id, summary in simulated.per_equation.items():
             assert summary.predicted_rmse == pytest.approx(rmse[eq_id], rel=1e-12)
-        # grid_search's batch metric, on the allocation and on its reversal.
-        b = budget_vector(workload, alloc)
-        reversed_budgets = dict(zip(workload.statistic_ids, b[::-1].tolist()))
+        # grid_search's batch metric, on the allocation and on its reversal, in the model's unit (1 here).
         model = FirstOrderModel(workload, workload.options.normalize_by_sensitivity)
+        b = model.units(alloc)
+        assert model.unit == 1.0
+        reversed_budgets = dict(zip(workload.statistic_ids, b[::-1].tolist()))
         batch = model.metric_batch(np.vstack([b, b[::-1]]))
         assert batch[0] == pytest.approx(metric, rel=1e-12)
         assert batch[1] == pytest.approx(closed_form(workload, reversed_budgets)[3], rel=1e-12)

@@ -183,6 +183,40 @@ def test_descent_iteration_cap_and_tolerance_are_usage_rules(capsys, flag, value
     assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("simulate", "--allocation", UNIFORM, "--seed", "1", "--trials", trials), "--trials")
+        for trials in ("0", "-2", "1e3")
+    ]
+    + [
+        (("optimize", "--method", "grid", "--grid-resolution", resolution), "--grid-resolution")
+        for resolution in ("5", "9", "fine")
+    ],
+)
+def test_trial_count_and_grid_resolution_are_usage_rules(capsys, argv, flag):
+    code, out, err = run(capsys, argv[0], "--workload", PAPER, *argv[1:])
+    assert (code, out) == (2, "")
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
+
+
+@pytest.mark.parametrize("subcommand", ["optimize", "validate"])
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback(subcommand):
+    # The reader's end is closed before the child starts, so its first write to stdout fails.
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "dpbudget", subcommand, "--workload", PAPER],
+            stdout=writer, stderr=subprocess.PIPE, env=module_env(), timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert child.returncode == 2
+    assert b"Traceback" not in child.stderr and b"Exception ignored" not in child.stderr, child.stderr
+
+
 def test_optimize_descent_certifies_a_workload_whose_cubic_overflows(tmp_path, capsys):
     # s2's reference 1e300 makes s1's amplitude dwarf its coefficient; descent once printed NaN budgets here.
     workload = _write(tmp_path, "w.json", json.dumps({
@@ -511,18 +545,18 @@ def test_failed_simulation_leaves_no_dump(tmp_path, capsys):
     fresh = tmp_path / "fresh.csv"
     kept.write_text("an earlier dump\n")
     before = sorted(p.name for p in tmp_path.iterdir())
-    for workload, allocation, trials, error in (
-        (heavy, budgets, "10000", "error: equation 'ratio': "),
-        (overflowing, tiny, "1000", "error: statistic 's1': "),
-        (PAPER, UNIFORM, "0", "error: trials must be at least 1"),
+    for workload, allocation, trials, expected, error in (
+        (heavy, budgets, "10000", 3, "error: equation 'ratio': "),
+        (overflowing, tiny, "1000", 3, "error: statistic 's1': "),
+        (PAPER, UNIFORM, "0", 2, "error: argument --trials: trials must be an integer of at least 1"),
     ):
         for dump in (kept, fresh):
             code, out, err = run(
                 capsys, "simulate", "--workload", workload, "--allocation", allocation, "--trials", trials,
                 "--seed", "3", "--dump-trials", str(dump),
             )
-            assert (code, out) == (3, ""), workload
-            assert err.startswith(error), err
+            assert (code, out) == (expected, ""), workload
+            assert error in err.splitlines()[-1], err
             assert sorted(p.name for p in tmp_path.iterdir()) == before
             assert kept.read_text() == "an earlier dump\n"
 

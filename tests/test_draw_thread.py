@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import dpbudget
 from dpbudget import (
     allocation_to_dict,
     noise_stream,
+    parse_expression,
     propagate_variance_montecarlo,
     score_allocation,
     simulate_pipeline,
@@ -92,6 +94,29 @@ def test_a_call_of_one_group_starts_no_helper_and_a_wide_call_of_one_chunk_start
     simulate_pipeline(workload, alloc, 1000, seed=7)
     assert thread_starts == ["dpbudget-draws"]
     assert threading.active_count() == before
+
+
+def _peak_in_columns(expression, workload, alloc, samples):
+    """tracemalloc's peak over one propagate_variance_montecarlo call, in CHUNK-float columns."""
+    propagate_variance_montecarlo(expression, workload, alloc, samples, seed=1)  # imports and caches first
+    tracemalloc.start()
+    try:
+        propagate_variance_montecarlo(expression, workload, alloc, samples, seed=1)
+        return tracemalloc.get_traced_memory()[1] / (CHUNK * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_call_without_a_helper_allocates_one_buffer_and_one_scratch_array(thread_starts):
+    # Four streams make one group a chunk, so no helper starts: a chunk is produced only after the last
+    # one was evaluated, and one (4 x CHUNK) buffer and one 4 * CHUNK scratch array serve the call.
+    workload, alloc = _montecarlo(1000)
+    expression = parse_expression("s1 + s2 + s3 + s4")
+    one_chunk = _peak_in_columns(expression, workload, alloc, CHUNK)
+    three_chunks = _peak_in_columns(expression, workload, alloc, 3 * CHUNK + 17)
+    assert thread_starts == []
+    assert three_chunks < one_chunk + 1  # the chunks share the one buffer
+    assert three_chunks < 4 + 4 + 6  # the buffer, the scratch array and a few evaluation temporaries
 
 
 def _claims_nothing(noise):

@@ -24,8 +24,20 @@ from pathlib import Path
 
 import pytest
 
-from dpbudget import load_allocation, load_workload, propagate_variance_montecarlo
+from dpbudget import (
+    load_allocation,
+    load_workload,
+    objective_gradient,
+    optimize_descent,
+    propagate_variance_analytic,
+    propagate_variance_montecarlo,
+    score_allocation,
+    simulate_pipeline,
+)
 from dpbudget.cli import run_cli
+from dpbudget.errors import NonFiniteError
+
+from helpers import allocation, make_workload
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -65,6 +77,25 @@ MONTECARLO_PROPAGATION = {
     ),
 }
 
+# repr of every analytic route on a workload whose first-order amplitude, sqrt(2) * 1e300 * 1e10, overflows
+# at budget 1, so the model reads budgets in a unit of the smallest power of four not below epsilon 2e100;
+# at budgets 1e100 / 1e100, recorded at commit 2a2cafa. The analytic propagation's variance overflows there.
+BUDGET_UNIT = {
+    "score": (
+        "UtilityReport(metric=1.4142135623730952e+210, us_terms={'s1': 1.414213562373095e-100, "
+        "'s2': 1.414213562373095e-100}, ue_terms={'eq': 1.4142135623730952e+210}, "
+        "options=MetricOptions(normalize_by_sensitivity=True, estimator='analytic', mc_samples=100000, "
+        "min_budget_fraction=1e-06))"
+    ),
+    "descent": (
+        "OptimizationResult(allocation=BudgetAllocation(budgets={'s1': 1.9999980000000002e+100, 's2': 2e+94}), "
+        "metric=7.071074882940359e+209, iterations=2, converged=True, method='descent', gap=0.0)"
+    ),
+    "gradient": "{'s1': -1.414213562373095e+110, 's2': -1.414213562373095e-200}",
+    "propagation": "NonFiniteError('the predicted variance overflows at this allocation (inf)')",
+    "predicted_rmse": "{'s1': 1.4142135623730952e-90, 's2': 1.414213562373095e-100, 'eq': 1.4142135623730952e+210}",
+}
+
 
 def _stdout(argv: list[str]) -> bytes:
     buffer = io.StringIO()
@@ -100,6 +131,26 @@ def test_montecarlo_propagation_matches_golden():
         for equation in workload.equations
     }
     assert results == MONTECARLO_PROPAGATION
+
+
+def test_budget_unit_routes_match_golden():
+    workload = make_workload(
+        epsilon=2e100, stats=(("s1", 1e10, 1e-90), ("s2", 1.0, 1e300)), equations=(("eq", "s1 * s2", 1.0),)
+    )
+    alloc = allocation(workload, 1e100, 1e100)
+    with pytest.raises(NonFiniteError) as propagation:
+        propagate_variance_analytic(workload.equations[0].expression, workload, alloc)
+    report = simulate_pipeline(workload, alloc, 2000, seed=3)
+    summaries = {**report.per_statistic, **report.per_equation}
+    predicted = {key: summary.predicted_rmse for key, summary in summaries.items()}
+    results = {
+        "score": repr(score_allocation(workload, alloc)),
+        "descent": repr(optimize_descent(workload)),
+        "gradient": repr(objective_gradient(workload, alloc)),
+        "propagation": repr(propagation.value),
+        "predicted_rmse": repr(predicted),
+    }
+    assert results == BUDGET_UNIT
 
 
 if __name__ == "__main__":

@@ -269,11 +269,11 @@ def test_montecarlo_score_with_huge_sensitivity_lands_on_its_normalized_value():
 
 
 def test_montecarlo_scores_build_no_jacobian(monkeypatch):
-    # The Monte Carlo route reads only the statistic coefficients and the equation norms.
+    # The Monte Carlo route reads only the statistic coefficients and the equation norms: no gradient.
     def refuse(*args):
         raise AssertionError("the Monte Carlo route built a Jacobian")
 
-    monkeypatch.setattr(propagation, "_jacobian_amplitudes", refuse)
+    monkeypatch.setattr(propagation, "_value_and_partials", refuse)
     workload = paper_workload()
     tuned, uniform = allocation(workload, 0.1, 0.2, 0.3, 0.4), allocation(workload, 0.25, 0.25, 0.25, 0.25)
     report = score_allocation(workload, tuned, _montecarlo(2000), seed=4)
