@@ -26,7 +26,7 @@ from .errors import NonFiniteError, NotSeparableError, ResolutionTooCoarseError,
 from .expressions import free_statistics
 from .propagation import FirstOrderModel, budget_vector
 from .scoring import score_validated
-from .workload import MIN_GRID_RESOLUTION, BudgetAllocation, MetricOptions, Workload, validate_allocation
+from .workload import MIN_GRID_RESOLUTION, BudgetAllocation, Workload, validate_allocation
 
 _GRID_MAX_STATISTICS = 5
 _GRID_CHUNK = 1 << 18
@@ -48,7 +48,7 @@ class OptimizationResult:
 
 
 class _Objective:
-    """The closed-form metric under ``options`` in shares u = b / epsilon of the budget:
+    """The workload's closed-form metric in shares u = b / epsilon of the budget:
     f(u) = sum_i c_i / u_i + sum_j sigma_j(u) / n_j, and the metric at budgets b is f(b / epsilon) / ``scale``.
     c and the amplitudes are per the model's budget unit, and f reads u as budgets in it, so ``scale`` is
     epsilon / unit: epsilon itself unless a coefficient overflows at unit 1 (see FirstOrderModel).
@@ -59,10 +59,10 @@ class _Objective:
     the coupled equations (ue_j = sigma_j / n_j), lies above f (up to a constant) and touches it at u_k.
     """
 
-    def __init__(self, workload: Workload, options: MetricOptions | None):
-        self.options = replace(options if options is not None else workload.options, estimator="analytic")
+    def __init__(self, workload: Workload):
+        self.options = replace(workload.options, estimator="analytic")
         self.model = model = FirstOrderModel(workload, self.options.normalize_by_sensitivity)
-        self.floor = workload.options.min_budget_fraction
+        self.floor = self.options.min_budget_fraction
         self.scale = workload.epsilon / model.unit  # exact: the unit is a power of two
         single = np.bincount(model.rows, minlength=model.n_eq)[model.rows] == 1
         with np.errstate(over="ignore"):  # an overflow makes the metric non-finite, then NonFiniteError
@@ -154,7 +154,7 @@ def uniform_allocation(workload: Workload) -> BudgetAllocation:
     return validate_allocation(workload, {stat_id: share for stat_id in workload.statistic_ids})
 
 
-def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = None) -> OptimizationResult:
+def sqrt_rule_allocation(workload: Workload) -> OptimizationResult:
     """Closed-form optimum for separable workloads.
 
     Requires that no equation reference two or more statistics; the metric
@@ -170,7 +170,7 @@ def sqrt_rule_allocation(workload: Workload, options: MetricOptions | None = Non
             raise NotSeparableError(
                 f"equation {equation.id!r} couples statistics {sorted(used)}; no closed form applies"
             )
-    objective = _Objective(workload, options)
+    objective = _Objective(workload)
     shares, _ = _surrogate_minimum(objective.c, np.zeros(objective.c.size), objective.floor)
     return _result(workload, objective, shares, iterations=0, converged=True, method="sqrt_rule")
 
@@ -198,7 +198,7 @@ def _compositions(total: int, parts: int) -> Iterator[np.ndarray]:
         yield chunk
 
 
-def grid_search(workload: Workload, resolution: int, options: MetricOptions | None = None) -> OptimizationResult:
+def grid_search(workload: Workload, resolution: int) -> OptimizationResult:
     """Exhaustive search over all budget splits on a lattice.
 
     Enumerates every composition of ``resolution`` parts into one positive
@@ -222,7 +222,7 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
         raise TooManyStatisticsError(
             f"resolution {resolution} needs {shown} lattice cells, over the cap of {_GRID_MAX_CELLS}"
         )
-    objective = _Objective(workload, options)
+    objective = _Objective(workload)
     unit, floor = 1.0 / resolution, objective.floor
     best_value = math.inf
     best_row: np.ndarray | None = None
@@ -248,12 +248,10 @@ def grid_search(workload: Workload, resolution: int, options: MetricOptions | No
     return _result(workload, objective, best_row, iterations=evaluated, converged=True, method="grid")
 
 
-def objective_gradient(
-    workload: Workload, allocation: BudgetAllocation, options: MetricOptions | None = None
-) -> dict[str, float]:
+def objective_gradient(workload: Workload, allocation: BudgetAllocation) -> dict[str, float]:
     """Exact partial derivatives of the closed-form metric per budget; NonFiniteError if one overflows."""
     allocation = validate_allocation(workload, allocation)
-    objective = _Objective(workload, options)
+    objective = _Objective(workload)
     budgets = budget_vector(workload, allocation)
     with np.errstate(all="ignore"):  # overflow gives a non-finite partial, refused below; b * epsilon may overflow
         gradient = objective.evaluate(budgets / workload.epsilon)[2] / budgets / objective.scale
@@ -262,9 +260,7 @@ def objective_gradient(
     return {stat_id: float(g) for stat_id, g in zip(workload.statistic_ids, gradient)}
 
 
-def optimize_descent(
-    workload: Workload, options: MetricOptions | None = None, *, max_iters: int = 5000, tol: float = 1e-10
-) -> OptimizationResult:
+def optimize_descent(workload: Workload, *, max_iters: int = 5000, tol: float = 1e-10) -> OptimizationResult:
     """Majorize-minimize on the budget simplex, starting from uniform.
 
     Stops, converged, once the Frank-Wolfe gap is at most ``tol`` times the
@@ -272,7 +268,7 @@ def optimize_descent(
     ``max_iters`` first reports converged=False. A metric or gap that is not
     finite ends the loop, and the result then raises NonFiniteError.
     """
-    objective = _Objective(workload, options)
+    objective = _Objective(workload)
     shares = np.full(len(workload.statistics), 1.0 / len(workload.statistics))
     shift, converged, iterations = 0.0, False, 0
     with np.errstate(all="ignore"):  # overflow ends in a non-finite metric or gap, then NonFiniteError

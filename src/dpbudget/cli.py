@@ -340,35 +340,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise _UsageError("simulate requires an explicit --seed")
     workload = load_workload(_read_file(args.workload))
     allocation = load_allocation(_read_file(args.allocation), workload)
-    if not args.dump_trials:
-        report = _simulate(workload, allocation, args.trials, args.seed, None)
-    else:
-        with _output_file(args.dump_trials) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            stat_keys = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
-            writer.writerow(["trial", *stat_keys, *(f"eq:{equation.id}" for equation in workload.equations)])
+    with _output_file(args.dump_trials) if args.dump_trials else contextlib.nullcontext() as handle:
+        sink = None
+        if handle is not None:
+            columns = [f"stat:{stat_id}" for stat_id in workload.statistic_ids]
+            columns += [f"eq:{equation.id}" for equation in workload.equations]
+            handle.write(",".join(["trial", *columns]) + "\n")  # ids are identifiers: no cell needs CSV quoting
             sink = functools.partial(_write_trial_rows, handle)
-            report = _simulate(workload, allocation, args.trials, args.seed, sink)
+        report = _simulate(workload, allocation, args.trials, args.seed, sink)
     _print_simulation(report, args.format)
     return EXIT_OK
 
 
-def _write_trial_rows(handle, start: int, chunk_errors) -> None:
-    """Writes a chunk's ``--dump-trials`` rows (trial number, then one cell per column), _DUMP_CELLS cells
-    at a time as one string, so memory holds a slice's text, not the chunk's. A cell is the value's repr,
-    empty for an excluded (NaN) trial; none needs CSV quoting."""
-    import numpy as np
-
-    size = chunk_errors[0].size
-    step = max(1, _DUMP_CELLS // len(chunk_errors))
-    gapped = [column for column, errors in enumerate(chunk_errors) if np.isnan(errors).any()]
-    for low in range(0, size, step):
-        high = min(low + step, size)
-        cells = [list(map(repr, errors[low:high].tolist())) for errors in chunk_errors]
-        for column in gapped:
-            for row in np.flatnonzero(np.isnan(chunk_errors[column][low:high])).tolist():
-                cells[column][row] = ""
-        handle.write("\n".join(map(",".join, zip(map(str, range(start + low, start + high)), *cells))) + "\n")
+def _write_trial_rows(handle, start: int, block) -> None:
+    """Writes a chunk's ``--dump-trials`` rows (trial number, then a cell per column: a row of the kernel's
+    ``block``), _DUMP_CELLS cells at a time as one string, so memory holds a slice's text, not the chunk's. A cell
+    is the value's repr, emptied for an excluded trial: repr writes NaN as ``nan``, and no other float's has it."""
+    step = max(1, _DUMP_CELLS // len(block))
+    for low in range(0, block.shape[1], step):
+        cells = map(repr, block[:, low : low + step].T.ravel().tolist())  # the slice, row by row
+        rows = zip(map(str, range(start + low, start + low + step)), *[cells] * len(block))  # a row per tuple
+        handle.write("\n".join(map(",".join, rows)).replace("nan", "") + "\n")
 
 
 @contextlib.contextmanager

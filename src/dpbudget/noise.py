@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .workload import BudgetAllocation, Workload, validate_allocation
 
 _UINT64_MASK = (1 << 64) - 1
@@ -64,12 +65,15 @@ def _laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray, magnitude: n
 def release_statistics(workload: Workload, allocation: BudgetAllocation, seed: int) -> dict[str, float]:
     """Releases every statistic once: reference value plus fresh Laplace noise.
 
-    Deterministic per seed; statistic order and ids follow the workload.
+    Deterministic per seed; statistic order and ids follow the workload. A release that is not finite (its
+    noise scale or its sum overflows) raises NonFiniteError naming the statistic.
     """
     allocation = validate_allocation(workload, allocation)
     released = {}
     for index, spec in enumerate(workload.statistics):
         scale = spec.sensitivity / allocation.budgets[spec.id]
         released[spec.id] = spec.reference_value + float(sample_noise_batch(scale, noise_stream(seed, index), 1)[0])
+        if not np.isfinite(released[spec.id]):
+            raise NonFiniteError(f"statistic {spec.id!r}: its release is {released[spec.id]!r}")
     return released
 

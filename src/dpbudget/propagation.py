@@ -295,7 +295,7 @@ def replay_montecarlo(
     count: int,
     seed: int,
     summaries: Sequence[type[_SquareSum]],
-    sink: Callable[[int, list[np.ndarray]], None] | None = None,
+    sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[_SquareSum]:
     """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
 
@@ -307,7 +307,8 @@ def replay_montecarlo(
     is evaluated on each chunk, on this thread, and its errors (output minus reference output) are
     summarized on the fly: memory is O(2 x CHUNK x statistics + expressions x tail size). The fixed chunk
     size fixes the summation order, and so the report bytes. ``sink``, if given, receives each chunk's
-    start index and per-expression errors (NaN at excluded samples).
+    start index and errors as one (expressions x chunk size) view, NaN at excluded samples (expressions x
+    CHUNK more memory); the next chunk overwrites it, so it is valid only until the sink returns.
 
     ``summaries[i]`` is expression i's summary type, sized to what its caller reports: the rmse
     (_SquareSum), also its MonteCarloDetail (_TailSummary), also its variance (_ErrorSummary). The kernel
@@ -333,6 +334,8 @@ def replay_montecarlo(
     specs = [(index, spec) for index, spec in enumerate(workload.statistics) if spec.id in used]
     kept = [summary(count) for summary in summaries]
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
+    # Each chunk's errors, in place (a constant's scalar broadcasts): a row per expression for a sink, else one.
+    block = np.empty((len(expressions) if sink is not None else 1, sizes[0]))
     # An overflowing error makes its rmse non-finite (NonFiniteError below), or vanishes (1 / inf is 0).
     with np.errstate(over="ignore", invalid="ignore"):
         # Made inside this block, the helper runs under its np.errstate (numpy keeps one per thread).
@@ -344,20 +347,16 @@ def replay_montecarlo(
                 if number + 1 < len(sizes):
                     noise.post(number + 1, sizes[number + 1])
                 released = dict(zip([spec.id for _, spec in specs], rows[:, :size]))
-                chunk_errors = []
-                for plan, divide, reference_output, summary in zip(plans, divides, reference_outputs, kept):
+                outs = block[:, :size] if sink is not None else [block[0, :size]] * len(plans)
+                for errors, plan, divide, reference, summary in zip(outs, plans, divides, reference_outputs, kept):
                     invalid = np.zeros(size, dtype=bool) if divide else None
-                    errors = np.asarray(evaluate_batch(plan, released, invalid), dtype=float) - reference_output
-                    if errors.ndim == 0:
-                        errors = np.full(size, float(errors))
+                    np.subtract(evaluate_batch(plan, released, invalid), reference, out=errors)
                     excluded = int(np.count_nonzero(invalid)) if divide else 0
                     summary.add(errors[~invalid] if excluded else errors, excluded)
-                    if sink is not None:
-                        if excluded:
-                            errors[invalid] = np.nan
-                        chunk_errors.append(errors)
+                    if excluded:
+                        errors[invalid] = np.nan
                 if sink is not None:
-                    sink(number * CHUNK, chunk_errors)
+                    sink(number * CHUNK, block[:, :size])
         finally:
             noise.close()
         for (label, _), summary in zip(expressions, kept):

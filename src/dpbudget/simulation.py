@@ -22,9 +22,6 @@ class StatisticErrorSummary:
     empirical_rmse: float
     predicted_rmse: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EquationErrorSummary:
@@ -32,9 +29,6 @@ class EquationErrorSummary:
     trimmed_rmse: float
     bias: float
     predicted_rmse: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,8 @@ def simulate_pipeline(workload: Workload, allocation: BudgetAllocation, trials: 
 
 
 def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
-    """simulate_pipeline, also handing each chunk's errors to ``sink`` (see replay_montecarlo): one array
-    per statistic, then per equation, in workload order, with NaN at excluded equation trials."""
+    """simulate_pipeline, also handing each chunk's errors to ``sink`` (see replay_montecarlo): one view, a row per
+    statistic, then per equation, NaN where excluded, valid only until the sink returns (the next chunk reuses it)."""
     allocation = validate_allocation(workload, allocation)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")

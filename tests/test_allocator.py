@@ -107,6 +107,37 @@ def test_grid_guards():
         grid_search(two, 9)
 
 
+@pytest.mark.parametrize(
+    "workload, error, message",
+    [
+        # Shares are tenths, and three of at least 0.33 would need 0.4 each.
+        (make_workload(stats=tuple((f"s{i}", 1.0, 1.0) for i in range(3)), min_budget_fraction=0.33),
+         ResolutionTooCoarseError, "no lattice cell satisfies the positivity floor"),
+        # Unnormalized, a coefficient sqrt(2) * 1e308 over the smaller share, at most 0.5, overflows in every cell.
+        (make_workload(stats=(("s1", 1e308, 1.0), ("s2", 1e308, 1.0)), normalize_by_sensitivity=False),
+         NonFiniteError, "the metric overflows at every lattice cell"),
+    ],
+    ids=["no feasible cell", "overflow in every cell"],
+)
+def test_grid_without_a_finite_feasible_cell_is_refused(workload, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        grid_search(workload, 10)
+
+
+def test_an_amplitude_that_overflows_at_unit_one_names_its_equation_and_statistic():
+    # Epsilon 1 leaves the budget unit at 1, where s2's amplitude, sqrt(2) * 1e300 * 1e10, is inf.
+    workload = make_workload(stats=(("s1", 1.0, 1e300), ("s2", 1e10, 1.0)), equations=(("e", "s1 * s2", 1.0),))
+    alloc = allocation(workload, 0.5, 0.5)
+    message = r"^equation 'e': its first-order amplitude in statistic 's2' is inf at the reference values$"
+    for call in (
+        lambda: score_allocation(workload, alloc),
+        lambda: optimize_descent(workload),
+        lambda: simulate_pipeline(workload, alloc, 1000, seed=1),
+    ):
+        with pytest.raises(NonFiniteError, match=message):
+            call()
+
+
 def test_grid_lexicographic_tie_break():
     workload = make_workload(epsilon=1.0, stats=(("s1", 1.0, 0.0), ("s2", 1.0, 0.0)))
     result = grid_search(workload, 101)

@@ -192,13 +192,27 @@ def test_descent_iteration_cap_and_tolerance_are_usage_rules(capsys, flag, value
     + [
         (("optimize", "--method", "grid", "--grid-resolution", resolution), "--grid-resolution")
         for resolution in ("5", "9", "fine")
-    ],
+    ]
+    + [(("simulate", "--allocation", UNIFORM, "--seed", seed), "--seed") for seed in ("abc", str(1 << 64))],
 )
 def test_trial_count_and_grid_resolution_are_usage_rules(capsys, argv, flag):
     code, out, err = run(capsys, argv[0], "--workload", PAPER, *argv[1:])
     assert (code, out) == (2, "")
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {flag}: " in errors[0], err
+
+
+def test_a_valid_tolerance_bounds_the_descent_gap(capsys):
+    code, out, err = run(capsys, "optimize", "--workload", PAPER, "--tol", "1e-6")
+    result = json.loads(out)
+    assert (code, err, result["converged"]) == (0, "", True)
+    assert 0.0 <= result["gap"] <= 1e-6 * result["metric"]
+
+
+def test_compare_prefixes_invalid_allocation_issues_with_the_path(capsys):
+    code, out, err = run(capsys, "compare", "--workload", PAPER, UNIFORM, BAD_SUM)
+    assert (code, out) == (1, "")
+    assert err == f"BudgetSumMismatch: {BAD_SUM}: budgets sum to 1.1 but epsilon is 1.0\n"
 
 
 @pytest.mark.parametrize("subcommand", ["optimize", "validate"])
@@ -685,6 +699,9 @@ OVERFLOWING = {
     # (statistic (sensitivity, reference) pairs, equation, budgets, how stderr starts)
     "at the reference": ([(1.0, 1e300), (1.0, 1.0)], "s1 * s1", [0.5, 0.5], "error: equation 'eq': "),
     "budgets too small": ([(1.0, 1.0), (1.0, 1.0)], "s1 + s2", [TINY / 2, TINY / 2], "error: "),
+    # At epsilon 1 the budget unit stays 1, where s2's first-order amplitude, sqrt(2) * 1e300 * 1e10, is inf
+    # (the Monte Carlo score builds no amplitude: its errors overflow).
+    "amplitude at budget unit 1": ([(1.0, 1e300), (1e10, 1.0)], "s1 * s2", [0.5, 0.5], "error: equation 'eq': "),
 }
 
 

@@ -4,9 +4,11 @@ The files under tests/data/golden/ were written by this module's
 ``__main__`` at commit d1c7822 ("Stream --dump-trials through the Monte
 Carlo sink and drop simulate_with_series"); the multi-chunk cases
 (``*_multichunk*``) at commit cae7f97 ("Compute every partial with one
-reverse sweep and drop the forward-mode gradient"). Those run the Monte
-Carlo kernel over several 16384-sample chunks, the last one partial, and
-the dump is stored as the sha256 of its bytes. A refactor that is meant to
+reverse sweep and drop the forward-mode gradient"); the descent CSV and
+the simulate text report at commit 2087c54 ("One first-order model behind
+every analytic path"). The multi-chunk cases run the Monte Carlo kernel
+over several 16384-sample chunks, the last one partial, and the dump is
+stored as the sha256 of its bytes. A refactor that is meant to
 leave every report unchanged must keep this test passing. A change that
 moves a value on purpose regenerates the files with
 
@@ -52,8 +54,10 @@ CASES = {
     "score_tuned.csv": ["score", *_W, "--allocation", _TUNED, "--format", "csv"],
     "compare.json": ["compare", *_W, _UNIFORM, _TUNED],
     "optimize_descent.json": ["optimize", *_W, "--method", "descent"],
+    "optimize_descent.csv": ["optimize", *_W, "--method", "descent", "--format", "csv"],
     "optimize_grid.json": ["optimize", *_W, "--method", "grid"],
     "simulate.json": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "2000", "--seed", "7"],
+    "simulate.txt": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "2000", "--seed", "7", "--format", "text"],
     # Four chunks, the last one partial.
     "simulate_multichunk.json": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "50010", "--seed", "7"],
     "score_montecarlo_multichunk.json": [

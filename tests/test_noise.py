@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from dpbudget import noise_stream, release_statistics, sample_noise_batch
+from dpbudget import NonFiniteError, noise_stream, release_statistics, sample_noise_batch
 from dpbudget.noise import _laplace_from_uniform
 
 from helpers import allocation, make_workload, paper_workload
@@ -57,6 +57,23 @@ def test_release_with_huge_budget_hugs_reference():
         released = release_statistics(workload, alloc, seed=seed)
         worst = max(worst, abs(released["s1"] - 42.0), abs(released["s2"] + 7.0))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize(
+    "epsilon, stats, named",
+    [
+        # s1's noise scale, 1e10 / 5e-301, overflows; s2's release, about -3.8e300, does not.
+        (1e-300, (("s1", 1e10, 1.0), ("s2", 1.0, 1.0)), "s1"),
+        # s2's noise scale, 2e307, is finite, but seed 7's draw added to its reference overflows.
+        (1.0, (("s1", 1.0, 1.0), ("s2", 1e307, 1.79e308)), "s2"),
+    ],
+    ids=["scale overflows", "sum overflows"],
+)
+def test_a_release_that_is_not_finite_names_its_statistic(epsilon, stats, named):
+    workload = make_workload(epsilon=epsilon, stats=stats)
+    alloc = allocation(workload, epsilon / 2, epsilon / 2)
+    with pytest.raises(NonFiniteError, match=rf"^statistic '{named}': its release is (-?inf|nan)$"):
+        release_statistics(workload, alloc, seed=7)
 
 
 def test_in_place_inverse_cdf_matches_reference_formula_bit_for_bit():

@@ -14,7 +14,7 @@ from dpbudget import (
 )
 from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, NonFiniteError
 from dpbudget.expressions import DIVISION_GUARD, Binary, BinaryOp, StatRef
-from dpbudget.propagation import CHUNK, TRIM_PER_TAIL
+from dpbudget.propagation import CHUNK, TRIM_PER_TAIL, _TailSummary
 
 from helpers import allocation, fd_gradient, make_workload, safe_random_tree
 
@@ -308,6 +308,24 @@ def test_chunked_kernel_core_sum_survives_extreme_tails():
     expected = sampled_reference(workload, alloc, samples, 4, lambda v: v["s1"], lambda v: v["d"] * v["d"])
     assert expected["rmse"] > 100 * expected["trimmed"]
     assert_matches_reference(result, expected, samples)
+
+
+def test_tail_summary_fills_its_tails_from_chunks_smaller_than_them():
+    # Past ~16.4M samples k = TRIM_PER_TAIL * count exceeds half a chunk, so the first chunks only fill
+    # the tails. Here k is 20,000: two chunks fill them, the third overflows them, the fourth meets them full.
+    summary = _TailSummary(40_000_000)
+    rng = np.random.default_rng(11)
+    chunks = [rng.standard_normal(size) * 3.0 + 0.5 for size in (10_000, 25_000, CHUNK, CHUNK)]
+    for chunk in chunks:
+        summary.add(chunk, 0)
+    errors = np.concatenate(chunks)
+    drop = int(errors.size * TRIM_PER_TAIL)
+    core = np.sort(errors)[drop : errors.size - drop]
+    detail = summary.detail()
+    assert detail.samples == errors.size
+    assert summary.rmse() == pytest.approx(math.sqrt(np.mean(errors * errors)), rel=1e-12)
+    assert detail.trimmed_rmse == pytest.approx(math.sqrt(np.mean(core * core)), rel=1e-12)
+    assert detail.bias_estimate == pytest.approx(float(np.mean(errors)), rel=1e-12)
 
 
 def test_montecarlo_summary_rescales_squares_that_overflow():

@@ -314,6 +314,21 @@ def test_value_checks_run_once_per_load(monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "load, message",
+    [
+        (lambda: load_workload(_with(statistics=["s1"], equations=[])), "statistics[0] must be an object"),
+        (lambda: load_workload({**PAPER_DOC, "options": [0.5]}), "options must be an object"),
+        (lambda: load_workload(_with(equations={0: {"expression": 7}})), "equations[0]: expression must be a string"),
+        (lambda: load_allocation('{"budgets": [0.5, 0.5]}', make_workload()), "'budgets' must be an object"),
+    ],
+    ids=["statistic", "options", "expression", "budgets"],
+)
+def test_a_part_of_the_wrong_shape_is_named(load, message):
+    issues = _issues(load)
+    assert ("MalformedDocument", message) in [(code, text) for code, _, text in issues], issues
+
+
 def test_load_reports_shape_and_value_issues_together():
     with pytest.raises(ValidationError) as excinfo:
         load_workload(_with(bogus=1, epsilon=0, statistics={0: {"label": 7}}))
