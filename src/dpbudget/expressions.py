@@ -276,15 +276,14 @@ def evaluate(node: Expr, values: Mapping[str, float]) -> float:
     return _evaluate(_postorder(node), values, float, _guarded_divide)
 
 
-def evaluate_batch(node: Expr | list[Expr], values: Mapping[str, np.ndarray], invalid: np.ndarray | None):
-    """Vectorized evaluation over sample arrays.
+def evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray], invalid: np.ndarray | None):
+    """Vectorized evaluation of a tree, given as its ``_postorder`` list, over sample arrays.
 
+    The caller walks the tree once and evaluates the list on every batch.
     Samples whose denominators come within DIVISION_GUARD of zero are
     flagged in ``invalid`` (a boolean array the caller owns) and computed
     with a substitute denominator of 1.0 so the rest of the batch survives.
-    ``invalid`` may be None for a tree without division. ``node`` is a
-    tree or its ``_postorder`` list; a caller that evaluates one tree on
-    many batches passes the list, so the tree is walked once.
+    ``invalid`` may be None for a tree without division.
     Returns an array, or a scalar when the tree is constant.
     """
     import numpy as np  # here, so that parsing and validation never load numpy
@@ -296,7 +295,7 @@ def evaluate_batch(node: Expr | list[Expr], values: Mapping[str, np.ndarray], in
             right = np.where(near_zero, 1.0, right)
         return left / right
 
-    return _evaluate(node if type(node) is list else _postorder(node), values, np.asarray, divide)
+    return _evaluate(order, values, np.asarray, divide)
 
 
 def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable, operands: list | None = None):

@@ -8,6 +8,9 @@ Sampling is counter-based and reproducible: statistic ``i`` under seed
 
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 from .errors import NonFiniteError
@@ -19,9 +22,15 @@ _U_LIMIT = 0.5 - 2.0**-54
 
 
 def noise_stream(seed: int, index: int) -> np.random.Generator:
-    """Independent deterministic stream for one statistic index under one seed."""
-    key = ((seed & _UINT64_MASK) << 64) | (index & _UINT64_MASK)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Independent deterministic stream for one statistic index under one seed, an integer (but not a bool)
+    from 0 to 2**64 - 1, the range of the CLI's ``--seed``: ValueError for any other seed."""
+    try:
+        key = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        key = None
+    if key is None or not 0 <= key <= _UINT64_MASK:
+        raise ValueError(f"seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
+    return np.random.Generator(np.random.Philox(key=(key << 64) | (index & _UINT64_MASK)))
 
 
 def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) -> np.ndarray:
@@ -37,8 +46,8 @@ def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) ->
 
 
 def _check_scale(scale: float) -> None:
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
 
 
 def _laplace_from_uniform(u: np.ndarray, scale: float | np.ndarray, magnitude: np.ndarray | None = None) -> np.ndarray:
@@ -66,13 +75,14 @@ def release_statistics(workload: Workload, allocation: BudgetAllocation, seed: i
     """Releases every statistic once: reference value plus fresh Laplace noise.
 
     Deterministic per seed; statistic order and ids follow the workload. A release that is not finite (its
-    noise scale or its sum overflows) raises NonFiniteError naming the statistic.
+    noise scale, checked before the draw, or its sum overflows) raises NonFiniteError naming the statistic.
     """
     allocation = validate_allocation(workload, allocation)
     released = {}
     for index, spec in enumerate(workload.statistics):
         scale = spec.sensitivity / allocation.budgets[spec.id]
-        released[spec.id] = spec.reference_value + float(sample_noise_batch(scale, noise_stream(seed, index), 1)[0])
+        noise = sample_noise_batch(scale, noise_stream(seed, index), 1)[0] if scale < math.inf else math.inf
+        released[spec.id] = spec.reference_value + float(noise)
         if not np.isfinite(released[spec.id]):
             raise NonFiniteError(f"statistic {spec.id!r}: its release is {released[spec.id]!r}")
     return released

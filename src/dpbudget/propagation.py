@@ -275,64 +275,60 @@ def propagate_variance_montecarlo(
         NonFiniteError: an error, or the variance of the errors, overflows.
     """
     allocation = validate_allocation(workload, allocation)
-    check_mc_samples(samples)
-    summary = replay_montecarlo(workload, allocation, [("expression", ast)], samples, seed, [_ErrorSummary])[0]
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples!r}")
+    summary = replay_montecarlo(workload, allocation, [("expression", ast, _ErrorSummary)], samples, seed)[0]
     variance = summary.variance()
     if not math.isfinite(variance):
         raise NonFiniteError(f"expression: its Monte Carlo variance overflows ({variance!r})")
     return PropagationResult(variance, summary.rmse(), method="montecarlo", mc_detail=summary.detail())
 
 
-def check_mc_samples(samples: int) -> None:
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be at least {MIN_MC_SAMPLES}, got {samples!r}")
-
-
 def replay_montecarlo(
     workload: Workload,
     allocation: BudgetAllocation,
-    expressions: Sequence[tuple[str, Expr]],
+    expressions: Sequence[tuple[str, Expr, type[_SquareSum]]],
     count: int,
     seed: int,
-    summaries: Sequence[type[_SquareSum]],
     sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[_SquareSum]:
     """The one Monte Carlo kernel: ``count`` seeded replays of every expression.
 
-    ``expressions`` holds (label, tree) pairs; the label names an expression in the errors below. Each
-    statistic any expression reads gets its stream ``noise_stream(seed, index)``, drawn once in
-    CHUNK-sample pieces, so trial ``t`` sees the same noise as in a single release. This thread and, when
-    a chunk holds more than one group of streams, a helper thread produce each chunk's noise (_Noise); the
-    helper is joined before the call returns or raises, and results do not depend on it. Every expression
-    is evaluated on each chunk, on this thread, and its errors (output minus reference output) are
-    summarized on the fly: memory is O(2 x CHUNK x statistics + expressions x tail size). The fixed chunk
-    size fixes the summation order, and so the report bytes. ``sink``, if given, receives each chunk's
-    start index and errors as one (expressions x chunk size) view, NaN at excluded samples (expressions x
-    CHUNK more memory); the next chunk overwrites it, so it is valid only until the sink returns.
+    ``expressions`` holds (label, tree, summary type) triples. The label names the expression in the errors
+    below; the summary type is sized to what its caller reports: the rmse (_SquareSum), also its
+    MonteCarloDetail (_TailSummary), also its variance (_ErrorSummary). Each statistic any expression reads
+    gets its stream ``noise_stream(seed, index)``, drawn once in CHUNK-sample pieces, so trial ``t`` sees the
+    same noise as in a single release. This thread and, when a chunk holds more than one group of streams, a
+    helper thread produce each chunk's noise (_Noise); the helper is joined before the call returns or
+    raises, and results do not depend on it. Every expression is evaluated on each chunk, on this thread, and
+    its errors (output minus reference output) are summarized on the fly: memory is O(2 x CHUNK x statistics
+    + expressions x tail size). The fixed chunk size fixes the summation order, and so the report bytes.
+    ``sink``, if given, receives each chunk's start index and errors as one (expressions x chunk size) view,
+    NaN at excluded samples (expressions x CHUNK more memory); the next chunk overwrites it, so it is valid
+    only until the sink returns.
 
-    ``summaries[i]`` is expression i's summary type, sized to what its caller reports: the rmse
-    (_SquareSum), also its MonteCarloDetail (_TailSummary), also its variance (_ErrorSummary). The kernel
-    returns the summaries, each rmse checked finite (it is inf only when an error is); a caller that
+    The kernel returns the summaries, each rmse checked finite (it is inf only when an error is); a caller that
     reports the variance checks it. The allocation must be validated and ``count`` at least 1.
 
     Raises:
         DivisionNearZeroError: an expression is degenerate at the reference.
-        NonFiniteError: an expression's value at the reference, or its errors' rmse, overflows (or is NaN).
+        NonFiniteError: an expression's value at the reference, or its errors' rmse, overflows (or is NaN), or
+            a statistic's noise scale (sensitivity / budget) does.
         HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's samples hit near-zero denominators.
-        ValueError: a noise scale (sensitivity / budget) underflows to 0.
+        ValueError: a noise scale underflows to 0, or the seed is not an integer from 0 to 2**64 - 1.
     """
     refs = workload.reference_values()
     # One postorder list per expression for the whole call: the reference output, the streams and every chunk read it.
-    plans = [_postorder(ast) for _, ast in expressions]
+    plans = [_postorder(ast) for _, ast, _ in expressions]
     reference_outputs = [_evaluate(plan, refs, float, _guarded_divide) for plan in plans]
-    for (label, _), output in zip(expressions, reference_outputs):
+    for (label, _, _), output in zip(expressions, reference_outputs):
         if not math.isfinite(output):
             raise NonFiniteError(f"{label}: its value at the reference values is {output!r}")
     used = {node.name for plan in plans for node in plan if type(node) is StatRef}
     # Only an expression with a division can exclude samples, so only it gets an exclusion mask.
     divides = [any(type(node) is Binary and node.op is BinaryOp.DIV for node in plan) for plan in plans]
     specs = [(index, spec) for index, spec in enumerate(workload.statistics) if spec.id in used]
-    kept = [summary(count) for summary in summaries]
+    kept = [summary(count) for _, _, summary in expressions]
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
     # Each chunk's errors, in place (a constant's scalar broadcasts): a row per expression for a sink, else one.
     block = np.empty((len(expressions) if sink is not None else 1, sizes[0]))
@@ -359,7 +355,7 @@ def replay_montecarlo(
                     sink(number * CHUNK, block[:, :size])
         finally:
             noise.close()
-        for (label, _), summary in zip(expressions, kept):
+        for (label, _, _), summary in zip(expressions, kept):
             if summary.excluded > HEAVY_TAIL_FRACTION * count:
                 raise HeavyTailWarning(
                     f"{label}: {summary.excluded} of {count} samples hit near-zero denominators "
@@ -394,7 +390,9 @@ class _Noise:
 
     def __init__(self, specs: list, allocation: BudgetAllocation, seed: int, sizes: list[int]):
         scales = [spec.sensitivity / allocation.budgets[spec.id] for _, spec in specs]
-        for scale in scales:
+        for (_, spec), scale in zip(specs, scales):
+            if scale == math.inf:
+                raise NonFiniteError(f"statistic {spec.id!r}: its noise scale (sensitivity / budget) is inf")
             _check_scale(scale)
         self.generators = [noise_stream(seed, index) for index, _ in specs]
         self.scales = np.array(scales, dtype=float)[:, None]

@@ -12,9 +12,9 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
-from .errors import NonFiniteError
-from .propagation import FirstOrderModel, _SquareSum, check_mc_samples, replay_montecarlo
-from .workload import BudgetAllocation, MetricOptions, Workload, validate_allocation
+from .errors import NonFiniteError, ValidationError
+from .propagation import FirstOrderModel, _SquareSum, replay_montecarlo
+from .workload import BudgetAllocation, MetricOptions, Workload, _option_issues, validate_allocation
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,21 @@ def score_allocation(
     A statistic's score is sqrt(2) * sensitivity / budget, the rmse of its
     Laplace noise (sqrt(2) / budget with normalization on). Analytic
     equation scores come from one sparse first-order model, built once.
+    Options (the workload's if None) are checked as a workload's are.
     """
-    options = options if options is not None else workload.options
     allocation = validate_allocation(workload, allocation)
-    return score_validated(_scorer(workload, options), workload, allocation, options, seed)
+    model, options = _scorer(workload, options)
+    return score_validated(model, workload, allocation, options, seed)
 
 
-def _scorer(workload: Workload, options: MetricOptions) -> FirstOrderModel:
-    """What score_validated reads: the first-order model, over no expression (no gradient) for Monte Carlo."""
+def _scorer(workload: Workload, options: MetricOptions | None) -> tuple[FirstOrderModel, MetricOptions]:
+    """What score_validated reads: the options (the workload's if None), checked as a workload's are, and the
+    first-order model for them, over no expression (no gradient) for Monte Carlo."""
+    options = options if options is not None else workload.options
+    if issues := _option_issues(options, len(workload.statistics)):
+        raise ValidationError(issues)
     expressions = [] if options.estimator == "montecarlo" else None
-    return FirstOrderModel(workload, options.normalize_by_sensitivity, expressions)
+    return FirstOrderModel(workload, options.normalize_by_sensitivity, expressions), options
 
 
 def score_validated(
@@ -78,16 +83,14 @@ def score_validated(
     options: MetricOptions,
     seed: int | None,
 ) -> UtilityReport:
-    """score_allocation on a validated allocation and ``_scorer(workload, options)``."""
+    """score_allocation on a validated allocation, with the model and the checked options ``_scorer`` returns."""
     budgets = model.units(allocation)
     if options.estimator == "montecarlo":
         if seed is None:
             raise ValueError("the montecarlo estimator requires an explicit seed")
-        check_mc_samples(options.mc_samples)
-        expressions = [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
         # The score reads only each rmse, so the kernel keeps only each sum of squares.
-        summaries = [_SquareSum] * len(expressions)
-        kept = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed, summaries)
+        expressions = [(f"equation {eq.id!r}", eq.expression, _SquareSum) for eq in workload.equations]
+        kept = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed)
         statistic_part = model.statistic_terms(budgets)
         equation_part = [summary.rmse() / norm for summary, norm in zip(kept, model.norms.tolist())]
     else:
@@ -115,9 +118,8 @@ def compare_allocations(
     """
     if len(allocations) < 2:
         raise ValueError(f"need at least two allocations to compare, got {len(allocations)}")
-    options = options if options is not None else workload.options
     validated = [(name, validate_allocation(workload, allocation)) for name, allocation in allocations]
-    model = _scorer(workload, options)
+    model, options = _scorer(workload, options)
     scored = [(name, score_validated(model, workload, allocation, options, seed)) for name, allocation in validated]
     order = sorted(range(len(scored)), key=lambda i: scored[i][1].metric)
     return [

@@ -69,13 +69,12 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
         raise NonFiniteError("a predicted rmse overflows at this allocation: its budgets are too small")
     # A statistic's error is released minus reference, which is what the
     # bare-reference expression over it yields.
-    expressions = [(f"statistic {spec.id!r}", StatRef(spec.id)) for spec in workload.statistics]
-    expressions += [(f"equation {equation.id!r}", equation.expression) for equation in workload.equations]
     # A statistic reports only its rmse, so its summary keeps only its sum of squares; an equation
     # reports no variance, so its summary keeps no M2.
+    expressions = [(f"statistic {spec.id!r}", StatRef(spec.id), _SquareSum) for spec in workload.statistics]
+    expressions += [(f"equation {eq.id!r}", eq.expression, _TailSummary) for eq in workload.equations]
     n_stat = len(workload.statistics)
-    summaries = [_SquareSum] * n_stat + [_TailSummary] * len(workload.equations)
-    kept = replay_montecarlo(workload, allocation, expressions, trials, seed, summaries, sink)
+    kept = replay_montecarlo(workload, allocation, expressions, trials, seed, sink)
     per_statistic = {
         spec.id: StatisticErrorSummary(empirical_rmse=summary.rmse(), predicted_rmse=predicted_rmse)
         for spec, summary, predicted_rmse in zip(workload.statistics, kept, statistic_part.tolist())

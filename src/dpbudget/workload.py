@@ -92,7 +92,8 @@ class Workload:
     def __post_init__(self):
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "equations", tuple(self.equations))
-        issues = _workload_issues(self.epsilon, self.statistics, self.equations, self.options)
+        issues = _workload_issues(self.epsilon, self.statistics, self.equations)
+        issues += _option_issues(self.options, len(self.statistics))
         if issues:
             raise ValidationError(issues)
 
@@ -204,9 +205,8 @@ def _workload_issues(
     epsilon: float,
     statistics: tuple[StatisticSpec, ...],
     equations: tuple[EquationSpec, ...],
-    options: MetricOptions,
 ) -> list[ValidationIssue]:
-    """Every value constraint of a workload. Documents and direct construction both end here."""
+    """Every value constraint of a workload but its options'. Documents and direct construction both end here."""
     issues: list[ValidationIssue] = []
     _check_number(issues, epsilon, "epsilon", nonpositive_code="NonPositiveEpsilon")
     if not statistics:
@@ -234,6 +234,12 @@ def _workload_issues(
                             ref,
                         )
                     )
+    return issues
+
+
+def _option_issues(options: MetricOptions, statistic_count: int) -> list[ValidationIssue]:
+    """Every value constraint of options, for a workload's own and for those a caller passes to scoring alike."""
+    issues: list[ValidationIssue] = []
 
     def malformed_option(name: str, rule: str) -> None:
         message = f"options.{name} must {rule}, got {_shown(getattr(options, name))}"
@@ -247,9 +253,8 @@ def _workload_issues(
     if not isinstance(samples, int) or isinstance(samples, bool) or samples < MIN_MC_SAMPLES:
         malformed_option("mc_samples", f"be an integer of at least {MIN_MC_SAMPLES}")
     fraction = _as_number(options.min_budget_fraction)
-    if fraction is None or fraction <= 0 or (statistics and fraction >= 1.0 / len(statistics)):
+    if fraction is None or fraction <= 0 or (statistic_count and fraction >= 1.0 / statistic_count):
         malformed_option("min_budget_fraction", "satisfy 0 < fraction < 1/(number of statistics)")
-
     return issues
 
 

@@ -745,6 +745,11 @@ OVERFLOW_RUNS = {
     "simulate, sensitivity 1e300": (
         ([(1e300, 1.0), (1.0, 1.0)], "2 * s2", [1e-8, 0.5]), ("simulate", "--trials", "1000", "--seed", "1"),
     ),
+    # s1's noise scale, 1e10 / 5e-301, overflows, which the kernel refuses, naming s1, before any draw.
+    "montecarlo score, noise scale overflows": (
+        ([(1e10, 1.0), (1.0, 1.0)], "s1 + s2", [5e-301, 5e-301]),
+        ("score", "--estimator", "montecarlo", "--mc-samples", "1000", "--seed", "1"),
+    ),
 }
 
 

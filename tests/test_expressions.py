@@ -12,6 +12,7 @@ from dpbudget.expressions import (
     Constant,
     Negate,
     StatRef,
+    _postorder,
     evaluate,
     evaluate_batch,
     format_expression,
@@ -139,7 +140,7 @@ def test_deep_expressions_need_no_recursion(shape, names, value, gradient):
     assert gradient_at_reference(tree, DEEP_REFS) == gradient
     samples = {name: np.full(4, ref) for name, ref in DEEP_REFS.items()}
     invalid = np.zeros(4, dtype=bool)
-    assert np.array_equal(evaluate_batch(tree, samples, invalid), np.full(4, value))
+    assert np.array_equal(evaluate_batch(_postorder(tree), samples, invalid), np.full(4, value))
     assert not invalid.any()
 
 
@@ -220,14 +221,14 @@ def test_evaluate_division_guard():
 
 
 def test_evaluate_batch_flags_near_zero_denominators():
-    tree = parse_expression("s1 / s2")
+    plan = _postorder(parse_expression("s1 / s2"))
     invalid = np.zeros(3, dtype=bool)
-    out = evaluate_batch(tree, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, 1e-13, -4.0])}, invalid)
+    out = evaluate_batch(plan, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, 1e-13, -4.0])}, invalid)
     assert invalid.tolist() == [False, True, False]
     assert out.tolist() == [0.5, 2.0, -0.75]
     # A scalar denominator near zero flags every sample.
     invalid = np.zeros(3, dtype=bool)
-    out = evaluate_batch(parse_expression("s1 / 0"), {"s1": np.array([1.0, 2.0, 3.0])}, invalid)
+    out = evaluate_batch(_postorder(parse_expression("s1 / 0")), {"s1": np.array([1.0, 2.0, 3.0])}, invalid)
     assert invalid.all()
     assert out.tolist() == [1.0, 2.0, 3.0]
 

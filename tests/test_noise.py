@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from dpbudget import NonFiniteError, noise_stream, release_statistics, sample_noise_batch
+from dpbudget import NonFiniteError, noise_stream, release_statistics, sample_noise_batch, simulate_pipeline
 from dpbudget.noise import _laplace_from_uniform
 
 from helpers import allocation, make_workload, paper_workload
@@ -37,6 +37,35 @@ def test_sample_noise_ks_against_laplace():
 def test_sample_noise_scale_guard():
     with pytest.raises(ValueError):
         sample_noise_batch(0.0, noise_stream(1, 0), 1)
+
+
+@pytest.mark.parametrize("scale", [math.inf, 1e309], ids=["inf", "1e309"])
+def test_sample_noise_refuses_an_infinite_scale(scale):
+    with pytest.raises(ValueError, match=r"^scale must be finite and positive, got inf$"):
+        sample_noise_batch(scale, noise_stream(1, 0), 3)
+
+
+def test_a_seed_is_any_integer_from_0_to_2_to_the_64_less_1():
+    workload = paper_workload()
+    alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    assert np.array_equal(noise_stream(np.int64(1), 2).random(5), noise_stream(1, 2).random(5))
+    assert release_statistics(workload, alloc, np.uint64(2**64 - 1)) == release_statistics(workload, alloc, 2**64 - 1)
+    assert simulate_pipeline(workload, alloc, 100, np.int64(1)) == simulate_pipeline(workload, alloc, 100, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True], ids=["-1", "2**64", "1.5", "True"])
+def test_a_seed_outside_the_range_is_refused(seed):
+    # A seed masked to 64 bits would give -1 seed 2**64 - 1's noise and 2**64 seed 0's, so neither is one.
+    workload = paper_workload()
+    alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    message = rf"^seed must be an integer from 0 to 2\*\*64 - 1, got {seed!r}$"
+    for call in (
+        lambda: noise_stream(seed, 0),
+        lambda: release_statistics(workload, alloc, seed),
+        lambda: simulate_pipeline(workload, alloc, 100, seed),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_release_is_deterministic_per_seed():

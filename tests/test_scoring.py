@@ -11,7 +11,7 @@ from dpbudget import (
     score_allocation,
     simulate_pipeline,
 )
-from dpbudget.errors import HeavyTailWarning
+from dpbudget.errors import HeavyTailWarning, ValidationError
 from dpbudget import propagation
 from dpbudget.propagation import CHUNK
 
@@ -100,6 +100,25 @@ def test_metric_requires_seed_for_montecarlo():
     alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
     with pytest.raises(ValueError, match="seed"):
         score_allocation(workload, alloc, MetricOptions(estimator="montecarlo"))
+
+
+BAD_OPTIONS = {"normalize_by_sensitivity": "no", "estimator": "bogus", "mc_samples": 500, "min_budget_fraction": -3}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OPTIONS))
+def test_a_callers_options_are_judged_as_the_workloads_are(name):
+    # Unchecked, "no" would be read as true and "bogus" as analytic: each scores unless refused.
+    with pytest.raises(ValidationError) as built:
+        paper_workload(**{name: BAD_OPTIONS[name]})
+    assert len(built.value.issues) == 1
+    workload = paper_workload()
+    uniform = allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    options = MetricOptions(**{name: BAD_OPTIONS[name]})
+    with pytest.raises(ValidationError) as scored:
+        score_allocation(workload, uniform, options, seed=1)
+    with pytest.raises(ValidationError) as compared:
+        compare_allocations(workload, [("a", uniform), ("b", uniform)], options, seed=1)
+    assert scored.value.issues == compared.value.issues == built.value.issues
 
 
 def test_budget_scaling_law():
