@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Subcommands: validate, score, compare, optimize, simulate. Reports go to
-standard output (JSON and CSV formats are stable; text is for humans),
-diagnostics go to standard error.
+Subcommands: validate, score, compare, optimize, simulate. Each handler
+loads its documents, calls the library and hands one report to ``_emit``,
+the only code that reads ``--format``: it prints the report to standard
+output as JSON or CSV (both stable) or as text (for humans). Diagnostics
+go to standard error.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 computation
 failure.
@@ -20,7 +22,6 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import DPBudgetError, ValidationError, ValidationIssue
 from .workload import (
@@ -35,10 +36,6 @@ from .workload import (
 
 # The modules that need numpy are imported by the handlers that use them,
 # so that validate starts without it.
-if TYPE_CHECKING:
-    from .allocator import OptimizationResult
-    from .scoring import RankedAllocation, UtilityReport
-    from .simulation import SimulationReport
 
 # Cells of the trial dump formatted at once; at 1300 columns, a slice of 25 rows.
 _DUMP_CELLS = 1 << 15
@@ -82,7 +79,8 @@ def _parse_tol(text: str) -> float:
     raise argparse.ArgumentTypeError(f"tol must be a finite number of at least 0, got {text!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser, *, allocation: str | None = None, estimator: bool = False):
+def _add_common(parser: argparse.ArgumentParser, handler, *, allocation: str | None = None, estimator: bool = False):
+    parser.set_defaults(handler=handler)
     parser.add_argument("--workload", required=True, metavar="PATH", help="workload document (JSON)")
     if allocation == "single":
         parser.add_argument("--allocation", required=True, metavar="PATH", help="allocation document (JSON)")
@@ -106,19 +104,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a workload (and optionally an allocation) document")
-    _add_common(p, allocation="optional")
+    _add_common(p, _cmd_validate, allocation="optional")
 
     p = sub.add_parser("score", help="score one allocation against a workload")
-    _add_common(p, allocation="single", estimator=True)
+    _add_common(p, _cmd_score, allocation="single", estimator=True)
 
     p = sub.add_parser("compare", help="rank two or more allocations")
-    _add_common(p, estimator=True)
+    _add_common(p, _cmd_compare, estimator=True)
     p.add_argument("allocations", nargs="*", metavar="ALLOCATION", help="allocation documents (JSON)")
     p.add_argument("--allocation", action="append", default=[], metavar="PATH", dest="allocation_flags",
                    help="additional allocation document (repeatable)")
 
     p = sub.add_parser("optimize", help="search for a low-metric allocation")
-    _add_common(p)
+    _add_common(p, _cmd_optimize)
     p.add_argument("--method", choices=("sqrt", "grid", "descent"), default="descent")
     p.add_argument("--grid-resolution", type=_int_at_least(MIN_GRID_RESOLUTION, "grid-resolution"), default=100,
                    help=f"lattice parts for --method grid (at least {MIN_GRID_RESOLUTION})")
@@ -131,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="write the resulting allocation document here")
 
     p = sub.add_parser("simulate", help="replay noisy releases and check errors against predictions")
-    _add_common(p, allocation="single")
+    _add_common(p, _cmd_simulate, allocation="single")
     p.add_argument("--trials", type=_int_at_least(1, "trials"), default=10000)
     p.add_argument("--seed", type=_parse_seed, default=None, required=False,
                    help="rng seed (decimal or 0x-hex); required")
@@ -148,104 +146,28 @@ def _read_file(path: str) -> str:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError([ValidationIssue("MalformedDocument", f"invalid UTF-8: {exc}")]) from None
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
-def _effective_options(workload: Workload, args: argparse.Namespace) -> MetricOptions:
-    options = workload.options
-    changes = {}
-    if getattr(args, "estimator", None) is not None:
-        changes["estimator"] = args.estimator
-    if getattr(args, "mc_samples", None) is not None:
-        changes["mc_samples"] = args.mc_samples
-    return replace(options, **changes) if changes else options
-
-
-def _require_seed_for_montecarlo(options: MetricOptions, args: argparse.Namespace):
+def _metric_options(workload: Workload, args: argparse.Namespace) -> MetricOptions:
+    """The workload's options with the --estimator and --mc-samples overrides; a Monte Carlo run needs --seed."""
+    changes = {name: value for name in ("estimator", "mc_samples") if (value := getattr(args, name)) is not None}
+    options = replace(workload.options, **changes) if changes else workload.options
     if options.estimator == "montecarlo" and args.seed is None:
         raise _UsageError("the montecarlo estimator requires an explicit --seed")
+    return options
 
 
-def _dump_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _print_report(report: UtilityReport, workload: Workload, fmt: str):
+def _emit(fmt: str, payload, rows, lines) -> None:
+    """Prints one report: ``payload`` as JSON, the lists ``rows()`` gives (header first) as CSV, or the strings
+    ``lines()`` gives as text. Only the chosen format's view is built."""
     if fmt == "json":
-        _dump_json(report.to_dict())
+        print(json.dumps(payload, sort_keys=True, indent=2))
     elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["kind", "id", "value"])
-        writer.writerow(["metric", "", repr(report.metric)])
-        for stat_id in workload.statistic_ids:
-            writer.writerow(["us", stat_id, repr(report.us_terms[stat_id])])
-        for equation in workload.equations:
-            writer.writerow(["ue", equation.id, repr(report.ue_terms[equation.id])])
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows())
     else:
-        print(f"metric: {report.metric:.6g}  (lower is better)")
-        for stat_id in workload.statistic_ids:
-            print(f"  statistic {stat_id}: {report.us_terms[stat_id]:.6g}")
-        for equation in workload.equations:
-            print(f"  equation {equation.id}: {report.ue_terms[equation.id]:.6g}")
-
-
-def _print_ranking(ranking: list[RankedAllocation], fmt: str):
-    if fmt == "json":
-        _dump_json([entry.to_dict() for entry in ranking])
-    elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["rank", "name", "metric"])
-        for entry in ranking:
-            writer.writerow([entry.rank, entry.name, repr(entry.report.metric)])
-    else:
-        for entry in ranking:
-            print(f"{entry.rank}. {entry.name}: metric {entry.report.metric:.6g}")
-
-
-def _print_optimization(result: OptimizationResult, fmt: str):
-    if fmt == "json":
-        _dump_json(result.to_dict())
-    elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["id", "budget"])
-        for stat_id, budget in result.allocation.budgets.items():
-            writer.writerow([stat_id, repr(budget)])
-    else:
-        state = "converged" if result.converged else "NOT converged"
-        print(
-            f"method {result.method}: metric {result.metric:.6g}, gap {result.gap:.3g}, "
-            f"after {result.iterations} iterations ({state})"
-        )
-        for stat_id, budget in result.allocation.budgets.items():
-            print(f"  {stat_id}: {budget:.6g}")
-
-
-def _print_simulation(report: SimulationReport, fmt: str):
-    if fmt == "json":
-        _dump_json(report.to_dict())
-    elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["kind", "id", "empirical_rmse", "trimmed_rmse", "bias", "predicted_rmse"])
-        for stat_id, summary in report.per_statistic.items():
-            writer.writerow(["stat", stat_id, repr(summary.empirical_rmse), "", "", repr(summary.predicted_rmse)])
-        for eq_id, summary in report.per_equation.items():
-            writer.writerow([
-                "eq", eq_id, repr(summary.empirical_rmse), repr(summary.trimmed_rmse),
-                repr(summary.bias), repr(summary.predicted_rmse),
-            ])
-    else:
-        reliable = "" if report.rmse_reliable else "  [rmse unreliable: too few trials]"
-        print(f"trials: {report.trials}  seed: {report.seed}{reliable}")
-        for stat_id, summary in report.per_statistic.items():
-            print(f"  statistic {stat_id}: empirical {summary.empirical_rmse:.6g}, predicted {summary.predicted_rmse:.6g}")
-        for eq_id, summary in report.per_equation.items():
-            print(
-                f"  equation {eq_id}: empirical {summary.empirical_rmse:.6g}, trimmed {summary.trimmed_rmse:.6g}, "
-                f"bias {summary.bias:.6g}, predicted {summary.predicted_rmse:.6g}"
-            )
+        print("\n".join(lines()))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -260,18 +182,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             load_allocation(_read_file(args.allocation), workload)
         except ValidationError as exc:
             issues.extend(exc.issues)
-    if args.format == "json":
-        _dump_json({
-            "valid": not issues,
-            "issues": [{"code": i.code, "message": i.message, "subject": i.subject} for i in issues],
-        })
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(["code", "subject", "message"])
-        for issue in issues:
-            writer.writerow([issue.code, issue.subject or "", issue.message])
-    else:
-        print("\n".join(map(str, issues)) if issues else "OK")
+    _emit(
+        args.format,
+        {"valid": not issues, "issues": [{"code": i.code, "message": i.message, "subject": i.subject} for i in issues]},
+        lambda: [["code", "subject", "message"], *([i.code, i.subject or "", i.message] for i in issues)],
+        lambda: map(str, issues) if issues else ["OK"],
+    )
     return EXIT_VALIDATION if issues else EXIT_OK
 
 
@@ -279,11 +195,24 @@ def _cmd_score(args: argparse.Namespace) -> int:
     from .scoring import score_allocation
 
     workload = load_workload(_read_file(args.workload))
-    options = _effective_options(workload, args)
-    _require_seed_for_montecarlo(options, args)
+    options = _metric_options(workload, args)
     allocation = load_allocation(_read_file(args.allocation), workload)
     report = score_allocation(workload, allocation, options, args.seed)
-    _print_report(report, workload, args.format)
+    statistics, equations = report.us_terms.items(), report.ue_terms.items()  # each in the workload's order
+    _emit(
+        args.format, report.to_dict(),
+        lambda: [
+            ["kind", "id", "value"],
+            ["metric", "", repr(report.metric)],
+            *(["us", key, repr(value)] for key, value in statistics),
+            *(["ue", key, repr(value)] for key, value in equations),
+        ],
+        lambda: [
+            f"metric: {report.metric:.6g}  (lower is better)",
+            *(f"  statistic {key}: {value:.6g}" for key, value in statistics),
+            *(f"  equation {key}: {value:.6g}" for key, value in equations),
+        ],
+    )
     return EXIT_OK
 
 
@@ -294,8 +223,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if len(paths) < 2:
         raise _UsageError("compare needs at least two allocation documents")
     workload = load_workload(_read_file(args.workload))
-    options = _effective_options(workload, args)
-    _require_seed_for_montecarlo(options, args)
+    options = _metric_options(workload, args)
     named = []
     for path in paths:
         try:
@@ -305,7 +233,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
                 [type(issue)(issue.code, f"{path}: {issue.message}", issue.subject) for issue in exc.issues]
             ) from None
     ranking = compare_allocations(workload, named, options, args.seed)
-    _print_ranking(ranking, args.format)
+    _emit(
+        args.format, [entry.to_dict() for entry in ranking],
+        lambda: [["rank", "name", "metric"], *([e.rank, e.name, repr(e.report.metric)] for e in ranking)],
+        lambda: [f"{e.rank}. {e.name}: metric {e.report.metric:.6g}" for e in ranking],
+    )
     return EXIT_OK
 
 
@@ -322,7 +254,18 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             result = optimize_descent(workload, max_iters=args.max_iters, tol=args.tol)
         if handle is not None and (result.converged or args.allow_nonconverged):
             handle.write(json.dumps(allocation_to_dict(result.allocation), sort_keys=True, indent=2) + "\n")
-    _print_optimization(result, args.format)  # after the block: a closed stdout is not an unwritable --out
+    # After the block: a closed stdout is not an unwritable --out.
+    budgets = result.allocation.budgets.items()
+    state = "converged" if result.converged else "NOT converged"
+    _emit(
+        args.format, result.to_dict(),
+        lambda: [["id", "budget"], *([stat_id, repr(budget)] for stat_id, budget in budgets)],
+        lambda: [
+            f"method {result.method}: metric {result.metric:.6g}, gap {result.gap:.3g}, "
+            f"after {result.iterations} iterations ({state})",
+            *(f"  {stat_id}: {budget:.6g}" for stat_id, budget in budgets),
+        ],
+    )
     if not result.converged and not args.allow_nonconverged:
         print(
             f"descent did not converge within {args.max_iters} iterations "
@@ -348,7 +291,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             handle.write(",".join(["trial", *columns]) + "\n")  # ids are identifiers: no cell needs CSV quoting
             sink = functools.partial(_write_trial_rows, handle)
         report = _simulate(workload, allocation, args.trials, args.seed, sink)
-    _print_simulation(report, args.format)
+    statistics, equations = report.per_statistic.items(), report.per_equation.items()
+    reliable = "" if report.rmse_reliable else "  [rmse unreliable: too few trials]"
+    _emit(
+        args.format, report.to_dict(),
+        lambda: [
+            ["kind", "id", "empirical_rmse", "trimmed_rmse", "bias", "predicted_rmse"],
+            *(["stat", key, repr(s.empirical_rmse), "", "", repr(s.predicted_rmse)] for key, s in statistics),
+            *(
+                ["eq", key, repr(s.empirical_rmse), repr(s.trimmed_rmse), repr(s.bias), repr(s.predicted_rmse)]
+                for key, s in equations
+            ),
+        ],
+        lambda: [
+            f"trials: {report.trials}  seed: {report.seed}{reliable}",
+            *(
+                f"  statistic {key}: empirical {s.empirical_rmse:.6g}, predicted {s.predicted_rmse:.6g}"
+                for key, s in statistics
+            ),
+            *(
+                f"  equation {key}: empirical {s.empirical_rmse:.6g}, trimmed {s.trimmed_rmse:.6g}, "
+                f"bias {s.bias:.6g}, predicted {s.predicted_rmse:.6g}"
+                for key, s in equations
+            ),
+        ],
+    )
     return EXIT_OK
 
 
@@ -382,15 +349,6 @@ def _output_file(path: str):
         partial.unlink(missing_ok=True)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "score": _cmd_score,
-    "compare": _cmd_compare,
-    "optimize": _cmd_optimize,
-    "simulate": _cmd_simulate,
-}
-
-
 def run_cli(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -398,7 +356,7 @@ def run_cli(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

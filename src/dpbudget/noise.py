@@ -24,13 +24,19 @@ _U_LIMIT = 0.5 - 2.0**-54
 def noise_stream(seed: int, index: int) -> np.random.Generator:
     """Independent deterministic stream for one statistic index under one seed, an integer (but not a bool)
     from 0 to 2**64 - 1, the range of the CLI's ``--seed``: ValueError for any other seed."""
+    return np.random.Generator(np.random.Philox(key=(_check_seed(seed) << 64) | (index & _UINT64_MASK)))
+
+
+def _check_seed(seed: int) -> int:
+    """noise_stream's seed rule, which every seeded call applies before it draws: the seed as an int, or
+    ValueError."""
     try:
         key = None if isinstance(seed, bool) else operator.index(seed)
     except TypeError:
         key = None
     if key is None or not 0 <= key <= _UINT64_MASK:
         raise ValueError(f"seed must be an integer from 0 to 2**64 - 1, got {seed!r}")
-    return np.random.Generator(np.random.Philox(key=(key << 64) | (index & _UINT64_MASK)))
+    return key
 
 
 def sample_noise_batch(scale: float, stream: np.random.Generator, count: int) -> np.ndarray:

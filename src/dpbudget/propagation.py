@@ -36,7 +36,7 @@ from .expressions import (
     _postorder,
     evaluate_batch,
 )
-from .noise import _check_scale, _laplace_from_uniform, noise_stream
+from .noise import _check_scale, _check_seed, _laplace_from_uniform, noise_stream
 from .workload import MIN_MC_SAMPLES, BudgetAllocation, Workload, validate_allocation
 
 # Abort Monte Carlo when more than this fraction of samples divide by ~zero.
@@ -315,8 +315,10 @@ def replay_montecarlo(
         NonFiniteError: an expression's value at the reference, or its errors' rmse, overflows (or is NaN), or
             a statistic's noise scale (sensitivity / budget) does.
         HeavyTailWarning: more than HEAVY_TAIL_FRACTION of an expression's samples hit near-zero denominators.
-        ValueError: a noise scale underflows to 0, or the seed is not an integer from 0 to 2**64 - 1.
+        ValueError: a noise scale underflows to 0, or the seed is not an integer from 0 to 2**64 - 1 (checked
+            first, whether or not an expression reads a statistic).
     """
+    seed = _check_seed(seed)
     refs = workload.reference_values()
     # One postorder list per expression for the whole call: the reference output, the streams and every chunk read it.
     plans = [_postorder(ast) for _, ast, _ in expressions]

@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .expressions import StatRef
+from .noise import _check_seed
 from .propagation import FirstOrderModel, _SquareSum, _TailSummary, replay_montecarlo
 from .workload import BudgetAllocation, Workload, validate_allocation
 
@@ -62,6 +63,7 @@ def _simulate(workload, allocation, trials, seed, sink) -> SimulationReport:
     allocation = validate_allocation(workload, allocation)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials!r}")
+    seed = _check_seed(seed)  # the report holds this int, whatever integer type the caller passed
     # Unnormalized scores are the predicted rmse: sqrt(2) * sensitivity / budget per statistic.
     model = FirstOrderModel(workload, False)
     statistic_part, equation_part = model.terms(model.units(allocation))

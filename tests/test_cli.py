@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -652,6 +653,24 @@ def test_non_utf8_documents_are_malformed(tmp_path, capsys):
     code, out, err = run(capsys, "score", "--workload", str(binary), "--allocation", UNIFORM)
     assert (code, out) == (1, "")
     assert err.startswith("MalformedDocument: invalid UTF-8: ")
+
+
+@pytest.mark.parametrize("unreadable", ["workload", "allocation"])
+def test_an_unreadable_document_is_a_usage_error(monkeypatch, capsys, unreadable):
+    path = {"workload": PAPER, "allocation": UNIFORM}[unreadable]
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if str(self) == path:
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for argv in (
+        ("validate", "--workload", PAPER, "--allocation", UNIFORM, "--format", "text"),
+        ("score", "--workload", PAPER, "--allocation", UNIFORM),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: cannot read {path}: Permission denied\n"), argv
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))

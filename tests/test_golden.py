@@ -6,7 +6,11 @@ Carlo sink and drop simulate_with_series"); the multi-chunk cases
 (``*_multichunk*``) at commit cae7f97 ("Compute every partial with one
 reverse sweep and drop the forward-mode gradient"); the descent CSV and
 the simulate text report at commit 2087c54 ("One first-order model behind
-every analytic path"). The multi-chunk cases run the Monte Carlo kernel
+every analytic path"); the text reports of score, compare and optimize, the
+compare and simulate CSVs, every validate report and the runs that exit
+nonzero (whose stderr is stored too) at commit 5de29da ("Check caller
+options by the workload's rules; one expression list per Monte Carlo
+call"). The multi-chunk cases run the Monte Carlo kernel
 over several 16384-sample chunks, the last one partial, and the dump is
 stored as the sha256 of its bytes. A refactor that is meant to
 leave every report unchanged must keep this test passing. A change that
@@ -46,6 +50,7 @@ GOLDEN = DATA / "golden"
 _W = ["--workload", str(DATA / "paper4.json")]
 _UNIFORM = str(DATA / "uniform.json")
 _TUNED = str(DATA / "tuned.json")
+_BAD_SUM = str(DATA / "bad_sum.json")
 
 CASES = {
     "score_uniform.json": ["score", *_W, "--allocation", _UNIFORM],
@@ -63,6 +68,22 @@ CASES = {
     "score_montecarlo_multichunk.json": [
         "score", *_W, "--allocation", _UNIFORM, "--estimator", "montecarlo", "--mc-samples", "70000", "--seed", "3",
     ],
+    "score_uniform.txt": ["score", *_W, "--allocation", _UNIFORM, "--format", "text"],
+    "compare.csv": ["compare", *_W, _UNIFORM, _TUNED, "--format", "csv"],
+    "compare.txt": ["compare", *_W, _UNIFORM, _TUNED, "--format", "text"],
+    "optimize_descent.txt": ["optimize", *_W, "--method", "descent", "--format", "text"],
+    "optimize_grid20.txt": ["optimize", *_W, "--method", "grid", "--grid-resolution", "20", "--format", "text"],
+    "simulate.csv": ["simulate", *_W, "--allocation", _UNIFORM, "--trials", "3000", "--seed", "7", "--format", "csv"],
+    "validate.json": ["validate", *_W, "--allocation", _UNIFORM],
+    "validate.csv": ["validate", *_W, "--allocation", _UNIFORM, "--format", "csv"],
+    "validate.txt": ["validate", *_W, "--allocation", _UNIFORM, "--format", "text"],
+}
+# Runs that exit nonzero, with their exit codes: stdout is stored as <name>, stderr as <name>.stderr.
+FAILING_CASES = {
+    "validate_bad_sum.json": (1, ["validate", *_W, "--allocation", _BAD_SUM]),
+    "validate_bad_sum.csv": (1, ["validate", *_W, "--allocation", _BAD_SUM, "--format", "csv"]),
+    "validate_bad_sum.txt": (1, ["validate", *_W, "--allocation", _BAD_SUM, "--format", "text"]),
+    "optimize_nonconverged.txt": (3, ["optimize", *_W, "--max-iters", "2", "--format", "text"]),
 }
 # The --dump-trials file of simulate_multichunk.json's run, stored as its sha256 (the file is ~1 MB).
 DUMP_DIGEST = "simulate_multichunk_dump.sha256"
@@ -101,12 +122,18 @@ BUDGET_UNIT = {
 }
 
 
-def _stdout(argv: list[str]) -> bytes:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
+def _run(argv: list[str]) -> tuple[int, bytes, bytes]:
+    """The exit code, stdout bytes and stderr bytes of one CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_cli(argv)
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def _stdout(argv: list[str]) -> bytes:
+    code, out, _ = _run(argv)
     assert code == 0
-    return buffer.getvalue().encode("utf-8")
+    return out
 
 
 def _dump_digest(directory: Path) -> bytes:
@@ -121,6 +148,12 @@ def _dump_digest(directory: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
     assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CASES))
+def test_failing_run_bytes_match_golden(name):
+    code, argv = FAILING_CASES[name]
+    assert _run(argv) == (code, (GOLDEN / name).read_bytes(), (GOLDEN / f"{name}.stderr").read_bytes())
 
 
 def test_multichunk_dump_digest_matches_golden(tmp_path):
@@ -163,5 +196,10 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         (GOLDEN / name).write_bytes(_stdout(argv))
+    for name, (code, argv) in FAILING_CASES.items():
+        exit_code, out, err = _run(argv)
+        assert exit_code == code
+        (GOLDEN / name).write_bytes(out)
+        (GOLDEN / f"{name}.stderr").write_bytes(err)
     with tempfile.TemporaryDirectory() as directory:
         (GOLDEN / DUMP_DIGEST).write_bytes(_dump_digest(Path(directory)))

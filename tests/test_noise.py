@@ -1,10 +1,20 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from dpbudget import NonFiniteError, noise_stream, release_statistics, sample_noise_batch, simulate_pipeline
+from dpbudget import (
+    NonFiniteError,
+    noise_stream,
+    parse_expression,
+    propagate_variance_montecarlo,
+    release_statistics,
+    sample_noise_batch,
+    score_allocation,
+    simulate_pipeline,
+)
 from dpbudget.noise import _laplace_from_uniform
 
 from helpers import allocation, make_workload, paper_workload
@@ -51,6 +61,9 @@ def test_a_seed_is_any_integer_from_0_to_2_to_the_64_less_1():
     assert np.array_equal(noise_stream(np.int64(1), 2).random(5), noise_stream(1, 2).random(5))
     assert release_statistics(workload, alloc, np.uint64(2**64 - 1)) == release_statistics(workload, alloc, 2**64 - 1)
     assert simulate_pipeline(workload, alloc, 100, np.int64(1)) == simulate_pipeline(workload, alloc, 100, 1)
+    assert json.dumps(simulate_pipeline(workload, alloc, 100, np.int64(1)).to_dict()) == (
+        json.dumps(simulate_pipeline(workload, alloc, 100, 1).to_dict())
+    )
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True], ids=["-1", "2**64", "1.5", "True"])
@@ -58,11 +71,15 @@ def test_a_seed_outside_the_range_is_refused(seed):
     # A seed masked to 64 bits would give -1 seed 2**64 - 1's noise and 2**64 seed 0's, so neither is one.
     workload = paper_workload()
     alloc = allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    # Expressions that read no statistic draw no noise stream, and still refuse the seed.
+    constant = make_workload(stats=(("s1", 1.0, 10.0),), equations=(("eq", "2.5", 1.0),), estimator="montecarlo")
     message = rf"^seed must be an integer from 0 to 2\*\*64 - 1, got {seed!r}$"
     for call in (
         lambda: noise_stream(seed, 0),
         lambda: release_statistics(workload, alloc, seed),
         lambda: simulate_pipeline(workload, alloc, 100, seed),
+        lambda: score_allocation(constant, allocation(constant, 1.0), seed=seed),
+        lambda: propagate_variance_montecarlo(parse_expression("2.5"), workload, alloc, 1000, seed),
     ):
         with pytest.raises(ValueError, match=message):
             call()
