@@ -140,8 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_file(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        raise _UsageError(f"file not found: {path}")
+    if not p.is_file():  # never opened: reading a FIFO or a device could block
+        if not p.exists():
+            raise _UsageError(f"file not found: {path}")
+        raise _UsageError(f"cannot read {path}: {'it is a directory' if p.is_dir() else 'not a regular file'}")
     try:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -298,17 +298,14 @@ def evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray], invalid:
     return _evaluate(order, values, np.asarray, divide)
 
 
-def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable, operands: list | None = None):
-    """The one evaluation walk, over a tree's ``_postorder`` list; ``leaf`` converts each looked-up value and
-    ``divide`` is the division rule. ``operands``, if given, receives each Binary node's (left, right) values."""
+def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable):
+    """The evaluation walk over a tree's ``_postorder`` list; ``leaf`` converts each value read, ``divide`` divides."""
     stack = []
     for node in order:
         kind = type(node)
         if kind is Binary:
             right = stack.pop()
             left = stack[-1]
-            if operands is not None:
-                operands.append((left, right))
             op = node.op
             if op is BinaryOp.ADD:
                 stack[-1] = left + right

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HeavyTailWarning, NonFiniteError
+from .errors import HeavyTailWarning, MissingValueError, NonFiniteError
 from .expressions import (
     Binary,
     BinaryOp,
@@ -51,6 +51,8 @@ CHUNK = 1 << 14
 _GROUP_VALUES = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
+# Read as globals by the first-order pass, which tests every node: an enum member read via its class costs ~8x.
+_ADD, _SUB, _MUL = BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL
 
 
 @dataclass(frozen=True)
@@ -77,46 +79,76 @@ class PropagationResult:
 def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, float]:
     """Exact partial derivatives of the expression at the reference point.
 
-    Computed by one reverse sweep over the tree (reverse-mode
-    differentiation), in time linear in its size; the result has one entry
-    per referenced statistic (zero entries included, e.g. for "s1 - s1").
+    Computed by the pass that builds the first-order model: one walk forward and one reverse sweep
+    (reverse-mode differentiation), in time linear in the tree's size. The result has one entry per
+    referenced statistic, in reverse postorder (zero entries included, e.g. for "s1 - s1").
 
     Raises:
         MissingValueError: a referenced id has no reference value.
         DivisionNearZeroError: a denominator magnitude at the reference
             point falls below DIVISION_GUARD.
     """
-    return _value_and_partials(ast, refs)[1]
+    names, partials = [], []
+    _value_and_partials(ast, refs, names, partials)
+    return dict(zip(names, partials))
 
 
-def _value_and_partials(ast: Expr, refs: Mapping[str, float]) -> tuple[float, dict[str, float]]:
-    """The expression's value at the reference point and its partials, by reverse-mode differentiation
-    (Griewank & Walther, "Evaluating Derivatives", 2008, ch. 3): the one evaluation walk records each
-    Binary node's operands, then one sweep in reverse postorder pushes adjoints down to the StatRefs."""
+def _value_and_partials(ast: Expr, refs: Mapping[str, float], names: list[str], partials: list[float]) -> float:
+    """The expression's value at the reference point. Appends each statistic it reads, once, to ``names``, and its
+    partial, summed over its uses, to ``partials``. Reverse-mode differentiation (Griewank & Walther, "Evaluating
+    Derivatives", 2008, ch. 3): one forward walk over the postorder evaluates it and records each Binary node's
+    operands, then one sweep in reverse postorder pushes adjoints down to the StatRefs."""
     order = _postorder(ast)
+    stack: list[float] = []
     operands: list[tuple[float, float]] = []
-    value = _evaluate(order, refs, float, _guarded_divide, operands)
-    partials: dict[str, float] = {}
+    for node in order:
+        kind = type(node)
+        if kind is Binary:
+            right = stack.pop()
+            left = stack[-1]
+            operands.append((left, right))
+            op = node.op
+            if op is _ADD:
+                stack[-1] = left + right
+            elif op is _SUB:
+                stack[-1] = left - right
+            elif op is _MUL:
+                stack[-1] = left * right
+            else:
+                stack[-1] = _guarded_divide(left, right)
+        elif kind is StatRef:
+            try:
+                stack.append(float(refs[node.name]))
+            except KeyError:
+                raise MissingValueError(node.name) from None
+        elif kind is Negate:
+            stack[-1] = -stack[-1]
+        else:
+            stack.append(node.value)
+    merged: dict[str, float] = {}
     pending = [1.0]  # adjoints of nodes not yet visited; a parent's right child is visited next, then its left
     for node in reversed(order):
         adjoint = pending.pop()
         kind = type(node)
         if kind is Binary:
             left, right = operands.pop()
-            if node.op is BinaryOp.ADD:
+            op = node.op
+            if op is _ADD:
                 pending += (adjoint, adjoint)
-            elif node.op is BinaryOp.SUB:
+            elif op is _SUB:
                 pending += (adjoint, -adjoint)
-            elif node.op is BinaryOp.MUL:
+            elif op is _MUL:
                 pending += (adjoint * right, adjoint * left)
             else:
                 # d(l / r) = (dl - (l / r) dr) / r: never r * r, which overflows past |r| ~ 1.3e154.
                 pending += (adjoint / right, -adjoint * (left / right) / right)
+        elif kind is StatRef:
+            merged[node.name] = merged.get(node.name, 0.0) + adjoint
         elif kind is Negate:
             pending.append(-adjoint)
-        elif kind is StatRef:
-            partials[node.name] = partials.get(node.name, 0.0) + adjoint
-    return value, partials
+    names += merged
+    partials += merged.values()
+    return stack[0]
 
 
 class FirstOrderModel:
@@ -151,20 +183,18 @@ class FirstOrderModel:
 
         refs = workload.reference_values()
         index_of = {spec.id: i for i, spec in enumerate(workload.statistics)}
-        rows: list[int] = []
-        cols: list[int] = []
-        partials: list[float] = []
+        names, partials, ends = [], [], []  # each entry's statistic and partial; each row's end in the entries
         for row, ast in enumerate(trees):
-            value, gradient = _value_and_partials(ast, refs)
+            value = _value_and_partials(ast, refs, names, partials)
             if not math.isfinite(value):
                 raise NonFiniteError(f"{label(row)}: its value at the reference values is {value!r}")
-            rows += [row] * len(gradient)
-            cols += map(index_of.__getitem__, gradient)
-            partials += gradient.values()
+            ends.append(len(names))
+        rows = np.repeat(np.arange(len(trees), dtype=np.intp), np.diff(np.array(ends, dtype=np.intp), prepend=0))
+        cols = np.fromiter(map(index_of.__getitem__, names), dtype=np.intp, count=len(names))
         partial_array = np.array(partials, dtype=float)
         order = np.lexsort((cols, rows))
         order = order[partial_array[order] != 0.0]
-        self.rows, self.cols = np.array(rows, dtype=np.intp)[order], np.array(cols, dtype=np.intp)[order]
+        self.rows, self.cols = rows[order], cols[order]
         self.starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
         magnitudes = _SQRT2 * np.abs(partial_array[order])
         sens = np.array([spec.sensitivity for spec in workload.statistics], dtype=float)

@@ -91,12 +91,12 @@ def score_validated(
         # The score reads only each rmse, so the kernel keeps only each sum of squares.
         expressions = [(f"equation {eq.id!r}", eq.expression, _SquareSum) for eq in workload.equations]
         kept = replay_montecarlo(workload, allocation, expressions, options.mc_samples, seed)
-        statistic_part = model.statistic_terms(budgets)
+        statistic_part = model.statistic_terms(budgets).tolist()
         equation_part = [summary.rmse() / norm for summary, norm in zip(kept, model.norms.tolist())]
     else:
-        statistic_part, equation_part = model.terms(budgets)
-    us_terms = dict(zip(workload.statistic_ids, statistic_part.tolist()))
-    ue_terms = {equation.id: float(value) for equation, value in zip(workload.equations, equation_part)}
+        statistic_part, equation_part = (terms.tolist() for terms in model.terms(budgets))
+    us_terms = dict(zip(workload.statistic_ids, statistic_part))
+    ue_terms = dict(zip([equation.id for equation in workload.equations], equation_part))
     try:
         metric = math.fsum(us_terms.values()) + math.fsum(ue_terms.values())
     except OverflowError:  # finite terms whose sum overflows

@@ -178,15 +178,17 @@ def _check_number(
     """Reports ``value`` unless it is a finite number (and positive, if ``nonpositive_code`` is given).
 
     A value of the wrong type, not finite or out of float range is
-    MalformedDocument; a number <= 0 gets ``nonpositive_code``. Returns the
-    number, or None when it is malformed.
+    MalformedDocument; a number <= 0 gets ``nonpositive_code``. ``what``
+    names the value, with ``{!r}`` for the subject; it is formatted
+    only for a fault. Returns the number, or None when it is malformed.
     """
     number = _as_number(value)
     if number is None:
-        message = f"{what} must be a finite number, got {_shown(value)}"
+        message = f"{what.format(subject)} must be a finite number, got {_shown(value)}"
         issues.append(ValidationIssue("MalformedDocument", message, subject))
     elif nonpositive_code is not None and number <= 0:
-        issues.append(ValidationIssue(nonpositive_code, f"{what} must be positive, got {number!r}", subject))
+        message = f"{what.format(subject)} must be positive, got {number!r}"
+        issues.append(ValidationIssue(nonpositive_code, message, subject))
     return number
 
 
@@ -215,16 +217,13 @@ def _workload_issues(
     statistic_ids: set[str] = set()
     for spec in statistics:
         if _check_id(issues, "statistic", spec.id, statistic_ids):
-            what = f"statistic {spec.id!r}"
-            _check_number(issues, spec.sensitivity, f"{what} sensitivity", spec.id, "NonPositiveSensitivity")
-            _check_number(issues, spec.reference_value, f"{what} reference_value", spec.id)
+            _check_number(issues, spec.sensitivity, "statistic {!r} sensitivity", spec.id, "NonPositiveSensitivity")
+            _check_number(issues, spec.reference_value, "statistic {!r} reference_value", spec.id)
 
     equation_ids: set[str] = set()
     for spec in equations:
         if _check_id(issues, "equation", spec.id, equation_ids):
-            _check_number(
-                issues, spec.sensitivity, f"equation {spec.id!r} sensitivity", spec.id, "NonPositiveSensitivity"
-            )
+            _check_number(issues, spec.sensitivity, "equation {!r} sensitivity", spec.id, "NonPositiveSensitivity")
             for ref in sorted(free_statistics(spec.expression)):
                 if ref not in statistic_ids:
                     issues.append(
@@ -385,27 +384,24 @@ def validate_allocation(workload: Workload, budgets: Mapping[str, float] | Budge
     for key in sorted(unknown, key=lambda key: (key if isinstance(key, str) else shown[key], shown[key])):
         issues.append(ValidationIssue("UnknownBudgetId", f"budget for unknown statistic {shown[key]}", key))
 
-    complete = not unknown
+    numbers = []  # the budgets that are finite numbers, as floats, in statistic order
     for stat_id in statistic_ids:
         if stat_id not in raw:
             issues.append(ValidationIssue("MissingBudget", f"no budget for statistic {stat_id!r}", stat_id))
-            complete = False
-        elif _check_number(issues, raw[stat_id], f"budget for {stat_id!r}", stat_id, "NonPositiveBudget") is None:
-            complete = False
+            continue
+        number = _check_number(issues, raw[stat_id], "budget for {!r}", stat_id, "NonPositiveBudget")
+        if number is not None:
+            numbers.append(number)
 
-    if complete:
-        total = math.fsum(float(raw[stat_id]) for stat_id in statistic_ids)
+    if not unknown and len(numbers) == len(statistic_ids):
+        total = math.fsum(numbers)
         if abs(total - workload.epsilon) > BUDGET_SUM_RTOL * workload.epsilon:
-            issues.append(
-                ValidationIssue(
-                    "BudgetSumMismatch",
-                    f"budgets sum to {total!r} but epsilon is {workload.epsilon!r}",
-                )
-            )
+            message = f"budgets sum to {total!r} but epsilon is {workload.epsilon!r}"
+            issues.append(ValidationIssue("BudgetSumMismatch", message))
 
     if issues:
         raise ValidationError(issues)
-    return BudgetAllocation(budgets={stat_id: float(raw[stat_id]) for stat_id in statistic_ids})
+    return BudgetAllocation(budgets=dict(zip(statistic_ids, numbers)))
 
 
 def load_allocation(document: str | Mapping[str, Any], workload: Workload) -> BudgetAllocation:

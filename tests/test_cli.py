@@ -673,6 +673,25 @@ def test_an_unreadable_document_is_a_usage_error(monkeypatch, capsys, unreadable
         assert run(capsys, *argv) == (2, "", f"error: cannot read {path}: Permission denied\n"), argv
 
 
+@pytest.mark.parametrize("kind", ["directory", "fifo", "missing"])
+@pytest.mark.parametrize("unreadable", ["workload", "allocation"])
+def test_a_document_that_is_not_a_regular_file_is_named(tmp_path, capsys, kind, unreadable):
+    # The path is never opened, so a FIFO with no writer cannot block the command.
+    path = tmp_path / "document.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(path)
+    reason = {"directory": "cannot read {}: it is a directory", "fifo": "cannot read {}: not a regular file",
+              "missing": "file not found: {}"}[kind]
+    workload, budgets = (str(path), UNIFORM) if unreadable == "workload" else (PAPER, str(path))
+    for argv in (
+        ("validate", "--workload", workload, "--allocation", budgets),
+        ("score", "--workload", workload, "--allocation", budgets),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {reason.format(path)}\n"), argv
+
+
 @pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
 def test_deep_expressions_run_through_the_cli(tmp_path, capsys, shape):
     workload = _write(tmp_path, "deep.json", json.dumps({

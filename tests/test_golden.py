@@ -10,9 +10,14 @@ every analytic path"); the text reports of score, compare and optimize, the
 compare and simulate CSVs, every validate report and the runs that exit
 nonzero (whose stderr is stored too) at commit 5de29da ("Check caller
 options by the workload's rules; one expression list per Monte Carlo
-call"). The multi-chunk cases run the Monte Carlo kernel
+call"); the ``partials_*`` cases at commit 8684859 ("One report path in the
+CLI: one --format switch, handlers on the parser"). The multi-chunk cases run the Monte Carlo kernel
 over several 16384-sample chunks, the last one partial, and the dump is
-stored as the sha256 of its bytes. A refactor that is meant to
+stored as the sha256 of its bytes. The ``partials_*`` cases run
+tests/data/partials.json, whose equations repeat a statistic (``s1 * s1``,
+``s2 * s1 * s2``), cancel one (``s1 - s1``, which has no model entry),
+negate a quotient (``-(s2 / s3) + s2``) and hold only a constant (``2.5``),
+so they pin how the first-order model merges and drops partials. A refactor that is meant to
 leave every report unchanged must keep this test passing. A change that
 moves a value on purpose regenerates the files with
 
@@ -51,6 +56,7 @@ _W = ["--workload", str(DATA / "paper4.json")]
 _UNIFORM = str(DATA / "uniform.json")
 _TUNED = str(DATA / "tuned.json")
 _BAD_SUM = str(DATA / "bad_sum.json")
+_PARTIALS = ["--workload", str(DATA / "partials.json")]
 
 CASES = {
     "score_uniform.json": ["score", *_W, "--allocation", _UNIFORM],
@@ -77,6 +83,9 @@ CASES = {
     "validate.json": ["validate", *_W, "--allocation", _UNIFORM],
     "validate.csv": ["validate", *_W, "--allocation", _UNIFORM, "--format", "csv"],
     "validate.txt": ["validate", *_W, "--allocation", _UNIFORM, "--format", "text"],
+    "partials_score.json": ["score", *_PARTIALS, "--allocation", _TUNED],
+    "partials_compare.json": ["compare", *_PARTIALS, _UNIFORM, _TUNED],
+    "partials_optimize_descent.json": ["optimize", *_PARTIALS, "--method", "descent"],
 }
 # Runs that exit nonzero, with their exit codes: stdout is stored as <name>, stderr as <name>.stderr.
 FAILING_CASES = {

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from dpbudget import (
+    StatisticSpec,
+    Workload,
     gradient_at_reference,
     noise_stream,
     parse_expression,
     propagate_variance_analytic,
     propagate_variance_montecarlo,
     sample_noise_batch,
+    score_allocation,
 )
-from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, NonFiniteError
+from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, MissingValueError, NonFiniteError
 from dpbudget.expressions import DIVISION_GUARD, Binary, BinaryOp, StatRef
 from dpbudget.propagation import CHUNK, TRIM_PER_TAIL, _TailSummary
 
@@ -77,6 +80,37 @@ def test_gradient_of_a_shared_node_sums_both_uses():
 def test_gradient_guards_reference_denominator():
     with pytest.raises(DivisionNearZeroError):
         gradient_at_reference(parse_expression("s1 / s2"), {"s1": 1.0, "s2": 1e-13})
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("s1 / s2 + s9", DivisionNearZeroError), ("s9 + s1 / s2", MissingValueError)],
+    ids=["division-first", "missing-first"],
+)
+def test_the_first_fault_in_postorder_is_raised(text, error):
+    # s2 is 0 at the reference and s9 has no value: the walk raises whichever it meets first.
+    workload = make_workload(epsilon=2.0, stats=(("s1", 1.0, 3.0), ("s2", 1.0, 0.0)))
+    tree = parse_expression(text)
+    for route in (
+        lambda: gradient_at_reference(tree, workload.reference_values()),
+        lambda: propagate_variance_analytic(tree, workload, allocation(workload, 1.0, 1.0)),
+    ):
+        with pytest.raises(error) as raised:
+            route()
+        if error is MissingValueError:
+            assert raised.value.statistic_id == "s9"
+
+
+def test_integer_references_are_read_as_floats():
+    # A directly built workload keeps an int reference as an int. Each leaf is read as a float, so the
+    # product's value is inf (NonFiniteError naming the equation), not an exact 10**400.
+    workload = make_workload(equations=(("eq", "s1 * s2", 1.0),))
+    huge = Workload(1.0, (StatisticSpec("s1", 1.0, 10**200), StatisticSpec("s2", 1.0, 10**200)), workload.equations)
+    assert type(huge.statistics[0].reference_value) is int
+    with pytest.raises(NonFiniteError, match=r"^equation 'eq': its value at the reference values is inf$"):
+        score_allocation(huge, allocation(huge, 0.5, 0.5))
+    gradient = gradient_at_reference(parse_expression("s1 * s2"), {"s1": 3, "s2": 10**200})
+    assert list(gradient.items()) == [("s2", 3.0), ("s1", 1e200)]  # in reverse postorder
 
 
 def test_gradient_matches_finite_differences_on_random_trees():

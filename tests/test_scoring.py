@@ -6,13 +6,14 @@ from dpbudget import (
     MetricOptions,
     compare_allocations,
     grid_search,
+    optimize_descent,
     propagate_variance_analytic,
     propagate_variance_montecarlo,
     score_allocation,
     simulate_pipeline,
 )
 from dpbudget.errors import HeavyTailWarning, ValidationError
-from dpbudget import propagation
+from dpbudget import allocator, propagation, scoring, simulation
 from dpbudget.propagation import CHUNK
 
 from helpers import allocation, make_workload, paper_workload
@@ -300,6 +301,42 @@ def test_montecarlo_scores_build_no_jacobian(monkeypatch):
     assert {entry.name: entry.report for entry in ranked}["tuned"] == report
     with pytest.raises(AssertionError, match="built a Jacobian"):
         score_allocation(workload, tuned)
+
+
+def test_each_public_call_builds_one_model_and_validates_each_allocation_once(monkeypatch):
+    # README: one first-order model per public call, and each allocation validated once.
+    workload = paper_workload()
+    tuned, uniform = allocation(workload, 0.1, 0.2, 0.3, 0.4), allocation(workload, 0.25, 0.25, 0.25, 0.25)
+    models, validations = [], []
+    build, check = propagation.FirstOrderModel.__init__, propagation.validate_allocation
+
+    def counting_build(self, workload, normalize, expressions=None):
+        models.append(expressions)
+        build(self, workload, normalize, expressions)
+
+    def counting_check(*args):
+        validations.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(propagation.FirstOrderModel, "__init__", counting_build)
+    for module in (allocator, propagation, scoring, simulation):
+        monkeypatch.setattr(module, "validate_allocation", counting_check)
+    calls = {
+        "score": (lambda: score_allocation(workload, tuned), 1),
+        "compare": (lambda: compare_allocations(workload, [("t", tuned), ("u", uniform), ("t2", tuned)]), 3),
+        "simulate": (lambda: simulate_pipeline(workload, tuned, 1000, seed=1), 1),
+        "descent": (lambda: optimize_descent(workload), None),
+    }
+    for name, (call, validated) in calls.items():
+        models.clear()
+        validations.clear()
+        call()
+        assert models == [None], name
+        if validated is not None:
+            assert len(validations) == validated, name
+    models.clear()
+    score_allocation(workload, tuned, _montecarlo(1000), seed=4)
+    assert models == [[]]  # over no expression
 
 
 def test_montecarlo_score_is_not_refused_for_an_overflowing_amplitude():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -360,3 +361,53 @@ def test_load_allocation_reports_shape_and_budget_issues_together():
     assert [(issue.code, issue.subject) for issue in excinfo.value.issues] == [
         ("MalformedDocument", None), ("UnknownBudgetId", "s9"), ("MalformedDocument", "s2")
     ]
+
+
+# Every value fault a number check reports, by field: how to build it, its text and subject, and the code
+# of a number <= 0 (None where any finite number is valid).
+_NUMBER_FIELDS = {
+    "budget": (
+        lambda value: validate_allocation(make_workload(), {"s1": value, "s2": 0.5}),
+        "budget for 's1'", "s1", "NonPositiveBudget",
+    ),
+    "epsilon": (lambda value: Workload(value, (StatisticSpec("s1", 1.0, 1.0),)), "epsilon", None, "NonPositiveEpsilon"),
+    "statistic sensitivity": (
+        lambda value: Workload(1.0, (StatisticSpec("s1", value, 1.0),)),
+        "statistic 's1' sensitivity", "s1", "NonPositiveSensitivity",
+    ),
+    "reference_value": (
+        lambda value: Workload(1.0, (StatisticSpec("s1", 1.0, value),)), "statistic 's1' reference_value", "s1", None,
+    ),
+    "equation sensitivity": (
+        lambda value: Workload(
+            1.0, (StatisticSpec("s1", 1.0, 1.0),), (EquationSpec("e1", parse_expression("s1"), value),)
+        ),
+        "equation 'e1' sensitivity", "e1", "NonPositiveSensitivity",
+    ),
+}
+# (value, how a malformed one is shown, or None for a number <= 0, shown as a float)
+_NUMBER_FAULTS = [
+    (True, "True"), ("1", "'1'"), (math.nan, "nan"), (math.inf, "inf"),
+    (10**5000, "an integer of 16610 bits"), (0, None), (-0.5, None),
+]
+
+
+@pytest.mark.parametrize("field", sorted(_NUMBER_FIELDS))
+@pytest.mark.parametrize("value, shown", _NUMBER_FAULTS, ids=["true", "text", "nan", "inf", "huge", "zero", "negative"])
+def test_every_number_fault_message(field, value, shown):
+    build, what, subject, nonpositive_code = _NUMBER_FIELDS[field]
+    try:
+        build(value)
+    except ValidationError as exc:
+        issues = [(str(issue), issue.subject) for issue in exc.issues]
+    else:
+        issues = []
+    if shown is not None:
+        expected = [(f"MalformedDocument: {what} must be a finite number, got {shown}", subject)]
+    elif nonpositive_code is not None:
+        expected = [(f"{nonpositive_code}: {what} must be positive, got {float(value)!r}", subject)]
+    else:
+        expected = []
+    if field == "budget" and shown is None:  # a budget <= 0 leaves the allocation complete, so its sum is checked
+        expected.append((f"BudgetSumMismatch: budgets sum to {value + 0.5!r} but epsilon is 1.0", None))
+    assert issues == expected
