@@ -24,10 +24,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import HeavyTailWarning, MissingValueError, NonFiniteError
+from .errors import HeavyTailWarning, NonFiniteError
 from .expressions import (
+    _ADD,
+    _DIV,
+    _MUL,
+    _SUB,
     Binary,
-    BinaryOp,
     Expr,
     Negate,
     StatRef,
@@ -51,8 +54,6 @@ CHUNK = 1 << 14
 _GROUP_VALUES = 1 << 16
 
 _SQRT2 = math.sqrt(2.0)
-# Read as globals by the first-order pass, which tests every node: an enum member read via its class costs ~8x.
-_ADD, _SUB, _MUL = BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL
 
 
 @dataclass(frozen=True)
@@ -96,35 +97,11 @@ def gradient_at_reference(ast: Expr, refs: Mapping[str, float]) -> dict[str, flo
 def _value_and_partials(ast: Expr, refs: Mapping[str, float], names: list[str], partials: list[float]) -> float:
     """The expression's value at the reference point. Appends each statistic it reads, once, to ``names``, and its
     partial, summed over its uses, to ``partials``. Reverse-mode differentiation (Griewank & Walther, "Evaluating
-    Derivatives", 2008, ch. 3): one forward walk over the postorder evaluates it and records each Binary node's
-    operands, then one sweep in reverse postorder pushes adjoints down to the StatRefs."""
+    Derivatives", 2008, ch. 3): the one evaluation walk records each Binary node's operands, then one sweep in
+    reverse postorder pushes adjoints down to the StatRefs."""
     order = _postorder(ast)
-    stack: list[float] = []
     operands: list[tuple[float, float]] = []
-    for node in order:
-        kind = type(node)
-        if kind is Binary:
-            right = stack.pop()
-            left = stack[-1]
-            operands.append((left, right))
-            op = node.op
-            if op is _ADD:
-                stack[-1] = left + right
-            elif op is _SUB:
-                stack[-1] = left - right
-            elif op is _MUL:
-                stack[-1] = left * right
-            else:
-                stack[-1] = _guarded_divide(left, right)
-        elif kind is StatRef:
-            try:
-                stack.append(float(refs[node.name]))
-            except KeyError:
-                raise MissingValueError(node.name) from None
-        elif kind is Negate:
-            stack[-1] = -stack[-1]
-        else:
-            stack.append(node.value)
+    value = _evaluate(order, refs, float, _guarded_divide, operands)
     merged: dict[str, float] = {}
     pending = [1.0]  # adjoints of nodes not yet visited; a parent's right child is visited next, then its left
     for node in reversed(order):
@@ -148,7 +125,7 @@ def _value_and_partials(ast: Expr, refs: Mapping[str, float], names: list[str], 
             pending.append(-adjoint)
     names += merged
     partials += merged.values()
-    return stack[0]
+    return value
 
 
 class FirstOrderModel:
@@ -358,7 +335,7 @@ def replay_montecarlo(
             raise NonFiniteError(f"{label}: its value at the reference values is {output!r}")
     used = {node.name for plan in plans for node in plan if type(node) is StatRef}
     # Only an expression with a division can exclude samples, so only it gets an exclusion mask.
-    divides = [any(type(node) is Binary and node.op is BinaryOp.DIV for node in plan) for plan in plans]
+    divides = [any(type(node) is Binary and node.op is _DIV for node in plan) for plan in plans]
     specs = [(index, spec) for index, spec in enumerate(workload.statistics) if spec.id in used]
     kept = [summary(count) for _, _, summary in expressions]
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
