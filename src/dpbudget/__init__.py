@@ -37,8 +37,8 @@ _HOMES = {
     "scoring": ("RankedAllocation", "UtilityReport", "compare_allocations", "score_allocation"),
     "simulation": ("EquationErrorSummary", "SimulationReport", "StatisticErrorSummary", "simulate_pipeline"),
     "workload": (
-        "BudgetAllocation", "EquationSpec", "MetricOptions", "StatisticSpec", "Workload", "allocation_to_dict",
-        "load_allocation", "load_workload", "validate_allocation",
+        "BudgetAllocation", "EquationSpec", "MetricOptions", "StatisticSpec", "Workload", "load_allocation",
+        "load_workload", "validate_allocation",
     ),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}

@@ -92,7 +92,7 @@ def _result(workload: Workload, objective: _Objective, shares: np.ndarray, **fie
     if not np.isfinite(budgets).all():
         raise NonFiniteError(f"the optimizer's budgets are not finite ({budgets.tolist()!r})")
     allocation = validate_allocation(workload, dict(zip(workload.statistic_ids, budgets.tolist())))
-    metric = score_validated(objective.model, workload, allocation, objective.options, None).metric
+    metric = score_validated(objective.model, allocation, objective.options, None).metric
     with np.errstate(all="ignore"):  # overflow gives a non-finite gap, refused below
         gap = objective.evaluate(shares)[1] / objective.scale
     if not math.isfinite(gap):

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import DPBudgetError, ValidationError, ValidationIssue
@@ -29,7 +29,6 @@ from .workload import (
     MIN_MC_SAMPLES,
     MetricOptions,
     Workload,
-    allocation_to_dict,
     load_allocation,
     load_workload,
 )
@@ -255,7 +254,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         else:
             result = optimize_descent(workload, max_iters=args.max_iters, tol=args.tol)
         if handle is not None and (result.converged or args.allow_nonconverged):
-            handle.write(json.dumps(allocation_to_dict(result.allocation), sort_keys=True, indent=2) + "\n")
+            handle.write(json.dumps(asdict(result.allocation), sort_keys=True, indent=2) + "\n")
     # After the block: a closed stdout is not an unwritable --out.
     budgets = result.allocation.budgets.items()
     state = "converged" if result.converged else "NOT converged"

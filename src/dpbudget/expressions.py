@@ -36,7 +36,7 @@ class BinaryOp(enum.Enum):
 
 
 # Every walk tests each node's operator against these: a member read through the enum class costs ~8x a global.
-_ADD, _SUB, _MUL, _DIV = BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL, BinaryOp.DIV
+_ADD, _SUB, _MUL = BinaryOp.ADD, BinaryOp.SUB, BinaryOp.MUL
 
 class Expr:
     """Base class for expression nodes. Trees are immutable once built.
@@ -279,26 +279,29 @@ def evaluate(node: Expr, values: Mapping[str, float]) -> float:
     return _evaluate(_postorder(node), values, float, _guarded_divide)
 
 
-def evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray], invalid: np.ndarray | None):
+def evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray]) -> tuple[Any, np.ndarray | None]:
     """Vectorized evaluation of a tree, given as its ``_postorder`` list, over sample arrays.
 
-    The caller walks the tree once and evaluates the list on every batch.
-    Samples whose denominators come within DIVISION_GUARD of zero are
-    flagged in ``invalid`` (a boolean array the caller owns) and computed
-    with a substitute denominator of 1.0 so the rest of the batch survives.
-    ``invalid`` may be None for a tree without division.
-    Returns an array, or a scalar when the tree is constant.
+    The caller walks the tree once and evaluates the list on every batch. Returns the values (an array, or a
+    scalar when the tree is constant) and ``invalid``, the boolean mask of the samples whose denominators came
+    within DIVISION_GUARD of zero, or None if none did. The first division that meets one makes the mask, shaped
+    as its result (so a scalar denominator flags every sample); those samples get a substitute denominator of
+    1.0, so the rest of the batch survives.
     """
     import numpy as np  # here, so that parsing and validation never load numpy
 
+    invalid = None
+
     def divide(left, right):
+        nonlocal invalid
         near_zero = np.abs(right) < DIVISION_GUARD
         if near_zero.any():
-            np.logical_or(invalid, near_zero, out=invalid)
+            near_zero = np.broadcast_to(near_zero, np.broadcast(left, right).shape)
+            invalid = near_zero.copy() if invalid is None else invalid | near_zero
             right = np.where(near_zero, 1.0, right)
         return left / right
 
-    return _evaluate(order, values, np.asarray, divide)
+    return _evaluate(order, values, np.asarray, divide), invalid  # the mask is read after the walk
 
 
 def _evaluate(order: list[Expr], values: Mapping, leaf: Callable, divide: Callable, operands: list | None = None):

@@ -27,7 +27,6 @@ import numpy as np
 from .errors import HeavyTailWarning, NonFiniteError
 from .expressions import (
     _ADD,
-    _DIV,
     _MUL,
     _SUB,
     Binary,
@@ -309,10 +308,11 @@ def replay_montecarlo(
     helper thread produce each chunk's noise (_Noise); the helper is joined before the call returns or
     raises, and results do not depend on it. Every expression is evaluated on each chunk, on this thread, and
     its errors (output minus reference output) are summarized on the fly: memory is O(2 x CHUNK x statistics
-    + expressions x tail size). The fixed chunk size fixes the summation order, and so the report bytes.
-    ``sink``, if given, receives each chunk's start index and errors as one (expressions x chunk size) view,
-    NaN at excluded samples (expressions x CHUNK more memory); the next chunk overwrites it, so it is valid
-    only until the sink returns.
+    + expressions x tail size). The fixed chunk size fixes the summation order, and so the report bytes. An
+    evaluation that meets a near-zero denominator returns the mask of the samples it excluded (evaluate_batch),
+    and the summary counts and drops them. ``sink``, if given, receives each chunk's start index and errors as
+    one (expressions x chunk size) view, NaN at excluded samples (expressions x CHUNK more memory); the next
+    chunk overwrites it, so it is valid only until the sink returns.
 
     The kernel returns the summaries, each rmse checked finite (it is inf only when an error is); a caller that
     reports the variance checks it. The allocation must be validated and ``count`` at least 1.
@@ -334,8 +334,6 @@ def replay_montecarlo(
         if not math.isfinite(output):
             raise NonFiniteError(f"{label}: its value at the reference values is {output!r}")
     used = {node.name for plan in plans for node in plan if type(node) is StatRef}
-    # Only an expression with a division can exclude samples, so only it gets an exclusion mask.
-    divides = [any(type(node) is Binary and node.op is _DIV for node in plan) for plan in plans]
     specs = [(index, spec) for index, spec in enumerate(workload.statistics) if spec.id in used]
     kept = [summary(count) for _, _, summary in expressions]
     sizes = [min(CHUNK, count - start) for start in range(0, count, CHUNK)]
@@ -353,13 +351,12 @@ def replay_montecarlo(
                     noise.post(number + 1, sizes[number + 1])
                 released = dict(zip([spec.id for _, spec in specs], rows[:, :size]))
                 outs = block[:, :size] if sink is not None else [block[0, :size]] * len(plans)
-                for errors, plan, divide, reference, summary in zip(outs, plans, divides, reference_outputs, kept):
-                    invalid = np.zeros(size, dtype=bool) if divide else None
-                    np.subtract(evaluate_batch(plan, released, invalid), reference, out=errors)
-                    excluded = int(np.count_nonzero(invalid)) if divide else 0
-                    summary.add(errors[~invalid] if excluded else errors, excluded)
-                    if excluded:
-                        errors[invalid] = np.nan
+                for row, plan, reference, summary in zip(outs, plans, reference_outputs, kept):
+                    output, invalid = evaluate_batch(plan, released)
+                    np.subtract(output, reference, out=row)
+                    summary.add(row, invalid)
+                    if sink is not None and invalid is not None:
+                        row[invalid] = np.nan
                 if sink is not None:
                     sink(number * CHUNK, block[:, :size])
         finally:
@@ -478,8 +475,9 @@ def _unscaled(value: float, shift: int) -> float:
 
 
 class _SquareSum:
-    """The rmse-only summary of one expression's errors, fed chunk by chunk:
-    the kept and excluded counts and the sum of squares of the kept errors.
+    """The rmse-only summary of one expression's errors, fed chunk by chunk
+    with the mask of the chunk's excluded samples: the kept and excluded
+    counts and the sum of squares of the kept errors.
 
     Errors are summed as ``x * 2**-shift``. shift stays 0, and the sums plain,
     until a chunk's squares overflow the running sum while its errors are
@@ -497,27 +495,27 @@ class _SquareSum:
         self.sum_sq = 0.0
         self.shift = 0
 
-    def add(self, kept: np.ndarray, excluded: int) -> None:
-        self.excluded += excluded
-        if kept.size:
-            previous = self.kept
-            self._summarize(*self._add_squares(kept), previous)
-
-    def _add_squares(self, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Counts a nonempty chunk and sums its squares; returns the chunk as summed (scaled) and its squares."""
+    def add(self, errors: np.ndarray, invalid: np.ndarray | None) -> None:
+        """Summarizes a chunk's errors: counts the samples ``invalid`` flags as excluded (None flags none), drops
+        them and sums the squares of the rest."""
+        if invalid is not None:
+            self.excluded += int(np.count_nonzero(invalid))
+            errors = errors[~invalid]
+        if not errors.size:
+            return
         if self.shift:
-            kept = np.ldexp(kept, -self.shift)
-        squares = kept * kept
+            errors = np.ldexp(errors, -self.shift)
+        squares = errors * errors
         sum_sq = self.sum_sq + float(squares.sum())
-        if math.isinf(sum_sq) and np.isfinite(kept).all():
-            delta = math.frexp(float(np.abs(kept).max()))[1]
+        if math.isinf(sum_sq) and np.isfinite(errors).all():
+            delta = math.frexp(float(np.abs(errors).max()))[1]
             self._rescale(delta)
-            kept = np.ldexp(kept, -delta)
-            squares = kept * kept
+            errors = np.ldexp(errors, -delta)
+            squares = errors * errors
             sum_sq = self.sum_sq + float(squares.sum())
         self.sum_sq = sum_sq
-        self.kept += kept.size
-        return kept, squares
+        previous, self.kept = self.kept, self.kept + errors.size
+        self._summarize(errors, squares, previous)
 
     def _summarize(self, kept: np.ndarray, squares: np.ndarray, previous: int) -> None:
         """What a subclass keeps besides: a nonempty chunk, as summed, its squares and the count before it."""

@@ -63,7 +63,7 @@ def score_allocation(
     """
     allocation = validate_allocation(workload, allocation)
     model, options = _scorer(workload, options)
-    return score_validated(model, workload, allocation, options, seed)
+    return score_validated(model, allocation, options, seed)
 
 
 def _scorer(workload: Workload, options: MetricOptions | None) -> tuple[FirstOrderModel, MetricOptions]:
@@ -78,12 +78,12 @@ def _scorer(workload: Workload, options: MetricOptions | None) -> tuple[FirstOrd
 
 def score_validated(
     model: FirstOrderModel,
-    workload: Workload,
     allocation: BudgetAllocation,
     options: MetricOptions,
     seed: int | None,
 ) -> UtilityReport:
     """score_allocation on a validated allocation, with the model and the checked options ``_scorer`` returns."""
+    workload = model.workload
     budgets = model.units(allocation)
     if options.estimator == "montecarlo":
         if seed is None:
@@ -120,7 +120,7 @@ def compare_allocations(
         raise ValueError(f"need at least two allocations to compare, got {len(allocations)}")
     validated = [(name, validate_allocation(workload, allocation)) for name, allocation in allocations]
     model, options = _scorer(workload, options)
-    scored = [(name, score_validated(model, workload, allocation, options, seed)) for name, allocation in validated]
+    scored = [(name, score_validated(model, allocation, options, seed)) for name, allocation in validated]
     order = sorted(range(len(scored)), key=lambda i: scored[i][1].metric)
     return [
         RankedAllocation(name=scored[i][0], rank=position + 1, report=scored[i][1])

@@ -73,9 +73,6 @@ class MetricOptions:
     mc_samples: int = 100_000
     min_budget_fraction: float = 1e-6
 
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
 
 _OPTION_KEYS = frozenset(option.name for option in fields(MetricOptions))
 
@@ -113,7 +110,7 @@ class Workload:
         """Document form; feeding it back to load_workload reproduces the workload."""
         return {
             "epsilon": self.epsilon,
-            "options": self.options.to_dict(),
+            "options": asdict(self.options),
             "statistics": [
                 {
                     "id": spec.id,
@@ -423,8 +420,3 @@ def load_allocation(document: str | Mapping[str, Any], workload: Workload) -> Bu
     if issues:
         raise ValidationError(issues)
     return allocation
-
-
-def allocation_to_dict(allocation: BudgetAllocation) -> dict[str, Any]:
-    return {"budgets": dict(allocation.budgets)}
-

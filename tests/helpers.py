@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from dpbudget import (
     MetricOptions,
     StatisticSpec,
     Workload,
-    allocation_to_dict,
     parse_expression,
     validate_allocation,
 )
@@ -76,7 +76,7 @@ def simulate_dump(directory: Path, workload: Workload, alloc: BudgetAllocation, 
     """
     workload_path, allocation_path, dump = (directory / name for name in ("w.json", "a.json", "trials.csv"))
     workload_path.write_text(json.dumps(workload.to_dict()), encoding="utf-8")
-    allocation_path.write_text(json.dumps(allocation_to_dict(alloc)), encoding="utf-8")
+    allocation_path.write_text(json.dumps(asdict(alloc)), encoding="utf-8")
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = run_cli([

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpbudget import (
-    allocation_to_dict,
     free_statistics,
     load_allocation,
     load_workload,
@@ -378,8 +378,8 @@ def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
     paths = {}
     for name, document in (
         ("workload", workload.to_dict()),
-        ("random", allocation_to_dict(random_allocation(rng, workload))),
-        ("uniform", allocation_to_dict(uniform_allocation(workload))),
+        ("random", asdict(random_allocation(rng, workload))),
+        ("uniform", asdict(uniform_allocation(workload))),
     ):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(document), encoding="utf-8")

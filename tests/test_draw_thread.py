@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 
 import dpbudget
 from dpbudget import (
-    allocation_to_dict,
     noise_stream,
     parse_expression,
     propagate_variance_montecarlo,
@@ -240,7 +240,7 @@ def test_sink_failure_propagates_joins_the_thread_and_leaves_no_dump(tmp_path, m
     workload, alloc = _wide(8)
     workload_path, allocation_path, dump = tmp_path / "w.json", tmp_path / "a.json", tmp_path / "trials.csv"
     workload_path.write_text(json.dumps(workload.to_dict()), encoding="utf-8")
-    allocation_path.write_text(json.dumps(allocation_to_dict(alloc)), encoding="utf-8")
+    allocation_path.write_text(json.dumps(asdict(alloc)), encoding="utf-8")
     simulate = dpbudget.simulation._simulate
 
     def failing_second_chunk(workload, allocation, trials, seed, sink):

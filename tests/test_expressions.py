@@ -139,9 +139,9 @@ def test_deep_expressions_need_no_recursion(shape, names, value, gradient):
     assert evaluate(tree, DEEP_REFS) == value
     assert gradient_at_reference(tree, DEEP_REFS) == gradient
     samples = {name: np.full(4, ref) for name, ref in DEEP_REFS.items()}
-    invalid = np.zeros(4, dtype=bool)
-    assert np.array_equal(evaluate_batch(_postorder(tree), samples, invalid), np.full(4, value))
-    assert not invalid.any()
+    out, invalid = evaluate_batch(_postorder(tree), samples)
+    assert np.array_equal(out, np.full(4, value))
+    assert invalid is None
 
 
 @pytest.mark.parametrize("shape", sorted(DEEP_EXPRESSIONS))
@@ -222,15 +222,32 @@ def test_evaluate_division_guard():
 
 def test_evaluate_batch_flags_near_zero_denominators():
     plan = _postorder(parse_expression("s1 / s2"))
-    invalid = np.zeros(3, dtype=bool)
-    out = evaluate_batch(plan, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, 1e-13, -4.0])}, invalid)
+    out, invalid = evaluate_batch(plan, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, 1e-13, -4.0])})
     assert invalid.tolist() == [False, True, False]
     assert out.tolist() == [0.5, 2.0, -0.75]
     # A scalar denominator near zero flags every sample.
-    invalid = np.zeros(3, dtype=bool)
-    out = evaluate_batch(_postorder(parse_expression("s1 / 0")), {"s1": np.array([1.0, 2.0, 3.0])}, invalid)
+    out, invalid = evaluate_batch(_postorder(parse_expression("s1 / 0")), {"s1": np.array([1.0, 2.0, 3.0])})
     assert invalid.all()
     assert out.tolist() == [1.0, 2.0, 3.0]
+
+
+def test_evaluate_batch_makes_no_mask_when_every_denominator_stays_clear():
+    plan = _postorder(parse_expression("s1 / s2 + (s1 - s2) / 3"))
+    out, invalid = evaluate_batch(plan, {"s1": np.array([1.0, 2.0, 3.0]), "s2": np.array([2.0, -1e-11, 4.0])})
+    assert invalid is None
+    assert out.tolist() == [0.5 + (1.0 - 2.0) / 3, 2.0 / -1e-11 + (2.0 + 1e-11) / 3, 0.75 + (3.0 - 4.0) / 3]
+
+
+def test_evaluate_batch_mask_joins_the_samples_of_every_division():
+    values = {
+        "s1": np.array([1.0, 2.0, 3.0, 4.0]),
+        "s2": np.array([1e-13, 1.0, 2.0, 4.0]),
+        "s3": np.array([6.0, 6.0, 6.0, 6.0]),
+        "s4": np.array([3.0, 2.0, -1e-13, 1.0]),
+    }
+    out, invalid = evaluate_batch(_postorder(parse_expression("s1 / s2 + s3 / s4")), values)
+    assert invalid.tolist() == [True, False, True, False]
+    assert out.tolist() == [1.0 + 2.0, 2.0 + 3.0, 1.5 + 6.0, 1.0 + 6.0]
 
 
 def test_walkers_reject_foreign_nodes():

@@ -17,7 +17,12 @@ stored as the sha256 of its bytes. The ``partials_*`` cases run
 tests/data/partials.json, whose equations repeat a statistic (``s1 * s1``,
 ``s2 * s1 * s2``), cancel one (``s1 - s1``, which has no model entry),
 negate a quotient (``-(s2 / s3) + s2``) and hold only a constant (``2.5``),
-so they pin how the first-order model merges and drops partials. A refactor that is meant to
+so they pin how the first-order model merges and drops partials. The ``exclusion_*`` cases, recorded at
+commit 6a79228 ("One fused reverse-mode pass per equation builds the first-order model"), run
+tests/data/exclusion.json, whose statistic d has noise scale 2e-9 around reference 1e-9: the two
+divisions of ``s1 / d + s1 / (d - 2e-9)`` meet near-zero denominators in different trials (32 of
+50,010 excluded at seed 6), and ``s1 + d`` divides by nothing, so they pin how excluded samples are
+counted, dropped and dumped. A refactor that is meant to
 leave every report unchanged must keep this test passing. A change that
 moves a value on purpose regenerates the files with
 
@@ -57,6 +62,7 @@ _UNIFORM = str(DATA / "uniform.json")
 _TUNED = str(DATA / "tuned.json")
 _BAD_SUM = str(DATA / "bad_sum.json")
 _PARTIALS = ["--workload", str(DATA / "partials.json")]
+_EXCLUSION = ["--workload", str(DATA / "exclusion.json"), "--allocation", str(DATA / "exclusion_allocation.json")]
 
 CASES = {
     "score_uniform.json": ["score", *_W, "--allocation", _UNIFORM],
@@ -86,6 +92,10 @@ CASES = {
     "partials_score.json": ["score", *_PARTIALS, "--allocation", _TUNED],
     "partials_compare.json": ["compare", *_PARTIALS, _UNIFORM, _TUNED],
     "partials_optimize_descent.json": ["optimize", *_PARTIALS, "--method", "descent"],
+    "exclusion_simulate.json": ["simulate", *_EXCLUSION, "--trials", "50010", "--seed", "6"],
+    "exclusion_score_montecarlo.json": [
+        "score", *_EXCLUSION, "--estimator", "montecarlo", "--mc-samples", "50010", "--seed", "6",
+    ],
 }
 # Runs that exit nonzero, with their exit codes: stdout is stored as <name>, stderr as <name>.stderr.
 FAILING_CASES = {
@@ -94,8 +104,11 @@ FAILING_CASES = {
     "validate_bad_sum.txt": (1, ["validate", *_W, "--allocation", _BAD_SUM, "--format", "text"]),
     "optimize_nonconverged.txt": (3, ["optimize", *_W, "--max-iters", "2", "--format", "text"]),
 }
-# The --dump-trials file of simulate_multichunk.json's run, stored as its sha256 (the file is ~1 MB).
-DUMP_DIGEST = "simulate_multichunk_dump.sha256"
+# The --dump-trials file of a case's run, stored as its sha256 (each file is ~1 MB), by the case.
+DUMP_DIGESTS = {
+    "simulate_multichunk.json": "simulate_multichunk_dump.sha256",
+    "exclusion_simulate.json": "exclusion_simulate_dump.sha256",
+}
 # repr of propagate_variance_montecarlo on each equation at uniform.json, 70,000 samples (four full chunks
 # and a partial one), seed 3; recorded at commit 67f1f88, whose kernel drew these on a helper thread.
 MONTECARLO_PROPAGATION = {
@@ -108,6 +121,20 @@ MONTECARLO_PROPAGATION = {
         "PropagationResult(variance=0.006785339099037636, rmse=0.08237603651709685, method='montecarlo', "
         "mc_detail=MonteCarloDetail(samples=70000, bias_estimate=0.0006872359336059738, "
         "trimmed_rmse=0.08138682502988094))"
+    ),
+}
+# repr of propagate_variance_montecarlo on each equation of exclusion.json at its allocation, 50,010 samples,
+# seed 6, recorded at commit 6a79228: 32 samples of "quotients" are excluded, none of "sum".
+EXCLUSION_PROPAGATION = {
+    "quotients": (
+        "PropagationResult(variance=6.201659191717255e+22, rmse=249031843888.30942, method='montecarlo', "
+        "mc_detail=MonteCarloDetail(samples=49978, bias_estimate=517062122.71485937, "
+        "trimmed_rmse=148032984162.69238))"
+    ),
+    "sum": (
+        "PropagationResult(variance=2.0212415109764312, rmse=1.4217178419824041, method='montecarlo', "
+        "mc_detail=MonteCarloDetail(samples=50010, bias_estimate=0.006333343088209805, "
+        "trimmed_rmse=1.398975262694167))"
     ),
 }
 
@@ -145,12 +172,10 @@ def _stdout(argv: list[str]) -> bytes:
     return out
 
 
-def _dump_digest(directory: Path) -> bytes:
-    """Runs simulate_multichunk.json's command with --dump-trials; returns the dump's sha256 line."""
+def _dump_digest(directory: Path, name: str) -> bytes:
+    """Runs case ``name``'s command with --dump-trials; returns the dump's sha256 line."""
     dump = directory / "trials.csv"
-    assert _stdout([*CASES["simulate_multichunk.json"], "--dump-trials", str(dump)]) == (
-        _stdout(CASES["simulate_multichunk.json"])
-    )
+    assert _stdout([*CASES[name], "--dump-trials", str(dump)]) == _stdout(CASES[name])
     return (hashlib.sha256(dump.read_bytes()).hexdigest() + "\n").encode("ascii")
 
 
@@ -166,7 +191,13 @@ def test_failing_run_bytes_match_golden(name):
 
 
 def test_multichunk_dump_digest_matches_golden(tmp_path):
-    assert _dump_digest(tmp_path) == (GOLDEN / DUMP_DIGEST).read_bytes()
+    name = "simulate_multichunk.json"
+    assert _dump_digest(tmp_path, name) == (GOLDEN / DUMP_DIGESTS[name]).read_bytes()
+
+
+def test_exclusion_dump_digest_matches_golden(tmp_path):
+    name = "exclusion_simulate.json"
+    assert _dump_digest(tmp_path, name) == (GOLDEN / DUMP_DIGESTS[name]).read_bytes()
 
 
 def test_montecarlo_propagation_matches_golden():
@@ -177,6 +208,16 @@ def test_montecarlo_propagation_matches_golden():
         for equation in workload.equations
     }
     assert results == MONTECARLO_PROPAGATION
+
+
+def test_exclusion_propagation_matches_golden():
+    workload = load_workload((DATA / "exclusion.json").read_text(encoding="utf-8"))
+    budgets = load_allocation((DATA / "exclusion_allocation.json").read_text(encoding="utf-8"), workload)
+    results = {
+        equation.id: repr(propagate_variance_montecarlo(equation.expression, workload, budgets, 50010, seed=6))
+        for equation in workload.equations
+    }
+    assert results == EXCLUSION_PROPAGATION
 
 
 def test_budget_unit_routes_match_golden():
@@ -211,4 +252,5 @@ if __name__ == "__main__":
         (GOLDEN / name).write_bytes(out)
         (GOLDEN / f"{name}.stderr").write_bytes(err)
     with tempfile.TemporaryDirectory() as directory:
-        (GOLDEN / DUMP_DIGEST).write_bytes(_dump_digest(Path(directory)))
+        for name, digest in DUMP_DIGESTS.items():
+            (GOLDEN / digest).write_bytes(_dump_digest(Path(directory), name))

@@ -328,6 +328,17 @@ def test_chunked_kernel_drop_follows_kept_count_when_samples_are_excluded():
     assert_matches_reference(result, expected, samples)
 
 
+def test_a_sample_two_divisions_exclude_is_counted_once():
+    workload = make_workload(epsilon=2.0, stats=(("s1", 1.0, 10.0), ("d", 2e-9, 1e-9)))
+    alloc = allocation(workload, 1.0, 1.0)
+    once, twice = (
+        propagate_variance_montecarlo(parse_expression(text), workload, alloc, 50_010, seed=6)
+        for text in ("s1 / d", "s1 / d + s1 / d")
+    )
+    assert once.mc_detail.samples < 50_010
+    assert twice.mc_detail.samples == once.mc_detail.samples
+
+
 def test_chunked_kernel_core_sum_survives_extreme_tails():
     # 1/d² has a tail like x^(-1/2): typical errors are ~10 but the largest
     # pass 1e8, so a core sum taken as a chunk's total minus its tails
@@ -351,7 +362,7 @@ def test_tail_summary_fills_its_tails_from_chunks_smaller_than_them():
     rng = np.random.default_rng(11)
     chunks = [rng.standard_normal(size) * 3.0 + 0.5 for size in (10_000, 25_000, CHUNK, CHUNK)]
     for chunk in chunks:
-        summary.add(chunk, 0)
+        summary.add(chunk, None)
     errors = np.concatenate(chunks)
     drop = int(errors.size * TRIM_PER_TAIL)
     core = np.sort(errors)[drop : errors.size - drop]
