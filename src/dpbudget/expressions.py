@@ -297,7 +297,7 @@ def evaluate_batch(order: list[Expr], values: Mapping[str, np.ndarray]) -> tuple
         near_zero = np.abs(right) < DIVISION_GUARD
         if near_zero.any():
             near_zero = np.broadcast_to(near_zero, np.broadcast(left, right).shape)
-            invalid = near_zero.copy() if invalid is None else invalid | near_zero
+            invalid = near_zero if invalid is None else invalid | near_zero
             right = np.where(near_zero, 1.0, right)
         return left / right
 
