@@ -354,6 +354,7 @@ def replay_montecarlo(
                 for row, plan, reference, summary in zip(outs, plans, reference_outputs, kept):
                     output, invalid = evaluate_batch(plan, released)
                     np.subtract(output, reference, out=row)
+                    del output  # freed before the summary and the next evaluation allocate chunk-sized arrays
                     summary.add(row, invalid)
                     if sink is not None and invalid is not None:
                         row[invalid] = np.nan
