@@ -605,11 +605,8 @@ class _ErrorSummary(_TailSummary):
     def _merge(self, kept: np.ndarray, chunk_mean: float, previous: int) -> None:
         centered = kept - chunk_mean
         centered *= centered
-        if previous == 0:
-            self.m2 = float(centered.sum())
-        else:
-            delta = chunk_mean - self.mean
-            self.m2 += float(centered.sum()) + delta * delta * previous * kept.size / (previous + kept.size)
+        delta = chunk_mean - self.mean
+        self.m2 += float(centered.sum()) + delta * delta * previous * kept.size / (previous + kept.size)
         super()._merge(kept, chunk_mean, previous)
 
     def _rescale(self, delta: int) -> None:

@@ -17,7 +17,7 @@ from dpbudget import (
 )
 from dpbudget.errors import DivisionNearZeroError, HeavyTailWarning, MissingValueError, NonFiniteError
 from dpbudget.expressions import DIVISION_GUARD, Binary, BinaryOp, StatRef
-from dpbudget.propagation import CHUNK, TRIM_PER_TAIL, _TailSummary
+from dpbudget.propagation import CHUNK, TRIM_PER_TAIL, _ErrorSummary, _SquareSum, _TailSummary
 
 from helpers import allocation, fd_gradient, make_workload, safe_random_tree
 
@@ -371,6 +371,30 @@ def test_tail_summary_fills_its_tails_from_chunks_smaller_than_them():
     assert summary.rmse() == pytest.approx(math.sqrt(np.mean(errors * errors)), rel=1e-12)
     assert detail.trimmed_rmse == pytest.approx(math.sqrt(np.mean(core * core)), rel=1e-12)
     assert detail.bias_estimate == pytest.approx(float(np.mean(errors)), rel=1e-12)
+
+
+def _slots(summary):
+    """Every count and sum a summary keeps, by slot name; arrays as lists."""
+    values = {name: getattr(summary, name) for cls in type(summary).__mro__ for name in getattr(cls, "__slots__", ())}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in values.items()}
+
+
+def _reports(summary):
+    return [getattr(summary, name)() for name in ("rmse", "detail", "variance") if hasattr(summary, name)]
+
+
+@pytest.mark.parametrize("summary_type", [_SquareSum, _TailSummary, _ErrorSummary])
+def test_a_chunk_with_every_sample_excluded_is_only_counted(summary_type):
+    # Values that would overflow or poison every sum if one of them were kept.
+    excluded = np.array([np.inf, -np.inf, np.nan, 1e300] * 75)
+    ordinary = np.random.default_rng(5).standard_normal(CHUNK) * 2.0 + 0.25
+    fed, plain = summary_type(excluded.size + CHUNK), summary_type(excluded.size + CHUNK)
+    fed.add(excluded, np.ones(excluded.size, dtype=bool))
+    fed.add(ordinary, None)
+    plain.add(ordinary, None)
+    assert plain.excluded == 0
+    assert _slots(fed) == {**_slots(plain), "excluded": excluded.size}
+    assert _reports(fed) == _reports(plain)
 
 
 def test_montecarlo_summary_rescales_squares_that_overflow():
