@@ -17,7 +17,6 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dpbudget import (
-    MetricOptions,
     evaluate,
     gradient_at_reference,
     grid_search,

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from dpbudget import (
-    MetricOptions,
     grid_search,
     objective_gradient,
     optimize_descent,

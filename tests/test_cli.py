@@ -24,7 +24,6 @@ from dpbudget import (
     sample_noise_batch,
     score_allocation,
     uniform_allocation,
-    validate_allocation,
 )
 from dpbudget.cli import run_cli
 from dpbudget.errors import DivisionNearZeroError

@@ -17,7 +17,7 @@ from dpbudget import (
 import dpbudget.workload as workload_module
 from dpbudget.errors import ValidationError
 
-from helpers import allocation, make_workload
+from helpers import make_workload
 
 PAPER_DOC = {
     "epsilon": 1.0,
