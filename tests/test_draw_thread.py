@@ -30,6 +30,7 @@ from dpbudget.simulation import _simulate
 
 from helpers import allocation, make_workload, paper_workload
 from test_cli import module_env
+from test_golden import CASES, _run
 
 
 @pytest.fixture
@@ -94,6 +95,13 @@ def test_a_call_of_one_group_starts_no_helper_and_a_wide_call_of_one_chunk_start
     simulate_pipeline(workload, alloc, 1000, seed=7)
     assert thread_starts == ["dpbudget-draws"]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("name", ["wide_simulate.json", "wide_score_montecarlo.json"])
+def test_each_wide_golden_run_starts_one_helper(name, thread_starts):
+    # Twelve streams make three groups of a full chunk.
+    assert _run(CASES[name])[0] == 0
+    assert thread_starts == ["dpbudget-draws"]
 
 
 def _peak_in_columns(expression, workload, alloc, samples):

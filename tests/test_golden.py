@@ -22,8 +22,13 @@ commit 6a79228 ("One fused reverse-mode pass per equation builds the first-order
 tests/data/exclusion.json, whose statistic d has noise scale 2e-9 around reference 1e-9: the two
 divisions of ``s1 / d + s1 / (d - 2e-9)`` meet near-zero denominators in different trials (32 of
 50,010 excluded at seed 6), and ``s1 + d`` divides by nothing, so they pin how excluded samples are
-counted, dropped and dumped. A refactor that is meant to
-leave every report unchanged must keep this test passing. A change that
+counted, dropped and dumped. The ``wide_*`` cases, recorded at commit 9c5c2cb ("CHANGES: one
+exclusion rule, the aim 2 removals, the identity tool's output and the benchmark pairs"), run
+tests/data/wide.json, whose equations read 12 statistics: three groups of noise streams per full
+chunk, so the Monte Carlo kernel starts its helper thread. They run 2 x 16384 + 9 trials, two full
+chunks and a partial one whose streams are grouped again. A refactor that is meant to
+leave every report unchanged must keep this test passing; tools/cli_identity.py
+builds its golden commands from CASES, FAILING_CASES and DUMP_DIGESTS. A change that
 moves a value on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -63,6 +68,7 @@ _TUNED = str(DATA / "tuned.json")
 _BAD_SUM = str(DATA / "bad_sum.json")
 _PARTIALS = ["--workload", str(DATA / "partials.json")]
 _EXCLUSION = ["--workload", str(DATA / "exclusion.json"), "--allocation", str(DATA / "exclusion_allocation.json")]
+_WIDE = ["--workload", str(DATA / "wide.json"), "--allocation", str(DATA / "wide_allocation.json")]
 
 CASES = {
     "score_uniform.json": ["score", *_W, "--allocation", _UNIFORM],
@@ -96,6 +102,11 @@ CASES = {
     "exclusion_score_montecarlo.json": [
         "score", *_EXCLUSION, "--estimator", "montecarlo", "--mc-samples", "50010", "--seed", "6",
     ],
+    # Three stream groups per full chunk: two full chunks and a partial one.
+    "wide_simulate.json": ["simulate", *_WIDE, "--trials", "32777", "--seed", "8"],
+    "wide_score_montecarlo.json": [
+        "score", *_WIDE, "--estimator", "montecarlo", "--mc-samples", "32777", "--seed", "8",
+    ],
 }
 # Runs that exit nonzero, with their exit codes: stdout is stored as <name>, stderr as <name>.stderr.
 FAILING_CASES = {
@@ -108,6 +119,7 @@ FAILING_CASES = {
 DUMP_DIGESTS = {
     "simulate_multichunk.json": "simulate_multichunk_dump.sha256",
     "exclusion_simulate.json": "exclusion_simulate_dump.sha256",
+    "wide_simulate.json": "wide_simulate_dump.sha256",
 }
 # repr of propagate_variance_montecarlo on each equation at uniform.json, 70,000 samples (four full chunks
 # and a partial one), seed 3; recorded at commit 67f1f88, whose kernel drew these on a helper thread.
@@ -181,7 +193,7 @@ def _dump_digest(directory: Path, name: str) -> bytes:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name):
-    assert _stdout(CASES[name]) == (GOLDEN / name).read_bytes()
+    assert _run(CASES[name]) == (0, (GOLDEN / name).read_bytes(), b"")
 
 
 @pytest.mark.parametrize("name", sorted(FAILING_CASES))
@@ -198,6 +210,19 @@ def test_multichunk_dump_digest_matches_golden(tmp_path):
 def test_exclusion_dump_digest_matches_golden(tmp_path):
     name = "exclusion_simulate.json"
     assert _dump_digest(tmp_path, name) == (GOLDEN / DUMP_DIGESTS[name]).read_bytes()
+
+
+def test_wide_dump_digest_matches_golden(tmp_path):
+    name = "wide_simulate.json"
+    assert _dump_digest(tmp_path, name) == (GOLDEN / DUMP_DIGESTS[name]).read_bytes()
+
+
+def test_every_golden_file_belongs_to_one_case():
+    # A case's files: its stdout, a failing run's stderr, a dumped case's digest.
+    named = [*CASES, *FAILING_CASES, *(f"{name}.stderr" for name in FAILING_CASES), *DUMP_DIGESTS.values()]
+    assert len(set(named)) == len(named)
+    assert set(DUMP_DIGESTS) <= set(CASES)
+    assert {path.name for path in GOLDEN.iterdir()} == set(named)
 
 
 def test_montecarlo_propagation_matches_golden():

@@ -3,21 +3,22 @@
     python3 tools/cli_identity.py REV
 
 Extracts ``git archive REV`` and the working tree's ``src/`` into two
-directories and runs one fixed list of ``python -m dpbudget`` commands under
-each, with ``PYTHONPATH`` set to that side's ``src``. Every command runs in
-one shared directory that holds all the documents (``tests/data`` of the
-working tree and the documents ``bench/instances.generate(spec, 1, dir)``
-writes for each benchmark workload), and names them by relative paths, so
-the paths in messages match. The list covers every golden case of
-``tests/test_golden.py`` (the multi-chunk and exclusion simulations also
-with ``--dump-trials``), the six ``--help`` texts, usage and validation
-failures, and ``validate``, ``score``, ``compare``, ``optimize --method
-descent|sqrt|grid``, a Monte Carlo ``score`` and ``simulate --dump-trials``
-on each benchmark workload.
+directories and runs one list of ``python -m dpbudget`` commands under each,
+with ``PYTHONPATH`` set to that side's ``src``. Every command runs in one
+shared directory that holds all the documents (``tests/data`` of the working
+tree and the documents ``bench/instances.generate(spec, 1, dir)`` writes for
+each benchmark workload), and names them by relative paths, so the paths in
+messages match. The list is every golden command of the working tree's
+``tests/test_golden.py`` (each ``CASES`` and ``FAILING_CASES`` argv, and each
+``DUMP_DIGESTS`` case with ``--dump-trials``), then what golden files cannot
+hold: the six ``--help`` texts, usage and validation failures, and
+``validate``, ``score``, ``compare``, ``optimize --method descent|sqrt|grid``,
+a Monte Carlo ``score`` and ``simulate --dump-trials`` on each benchmark workload.
 
 Compares the stdout, stderr and exit code of each command and the sha256 of
 each file it writes, prints every command that differs, and exits 1 on any
-difference, 0 otherwise. Standard library only; one command runs at a time.
+difference, 0 otherwise. Needs numpy and pytest to import the golden tables;
+one command runs at a time.
 """
 
 from __future__ import annotations
@@ -33,56 +34,30 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests")]
 
+import test_golden as golden  # noqa: E402
 from instances import WORKLOADS, generate  # noqa: E402
 
 # Files a command may write, relative to the shared directory; each is hashed and removed after the command.
 OUTPUTS = ("out/trials.csv", "out/allocation.json")
 
 
+def _golden_commands() -> list[list[str]]:
+    """tests/test_golden.py's commands, their document paths made relative to the shared directory."""
+    failing = [argv for _, argv in golden.FAILING_CASES.values()]
+    dumps = [[*golden.CASES[name], "--dump-trials", OUTPUTS[0]] for name in golden.DUMP_DIGESTS]
+    commands = [*golden.CASES.values(), *failing, *dumps]
+    return [[arg.replace(str(golden.DATA), "data") for arg in argv] for argv in commands]
+
+
 def _commands(shared: Path, generated: dict) -> list[list[str]]:
     """The fixed list; ``generated`` holds each benchmark workload's Inputs, written under ``shared``."""
     paper = ["--workload", "data/paper4.json"]
-    partials = ["--workload", "data/partials.json"]
     exclusion = ["--workload", "data/exclusion.json", "--allocation", "data/exclusion_allocation.json"]
-    uniform, tuned, bad_sum = "data/uniform.json", "data/tuned.json", "data/bad_sum.json"
-    simulate_multichunk = ["simulate", *paper, "--allocation", uniform, "--trials", "50010", "--seed", "7"]
-    exclusion_simulate = ["simulate", *exclusion, "--trials", "50010", "--seed", "6"]
+    uniform = "data/uniform.json"
     commands = [
-        # The golden cases.
-        ["score", *paper, "--allocation", uniform],
-        ["score", *paper, "--allocation", uniform, "--format", "csv"],
-        ["score", *paper, "--allocation", uniform, "--format", "text"],
-        ["score", *paper, "--allocation", tuned],
-        ["score", *paper, "--allocation", tuned, "--format", "csv"],
-        ["compare", *paper, uniform, tuned],
-        ["compare", *paper, uniform, tuned, "--format", "csv"],
-        ["compare", *paper, uniform, tuned, "--format", "text"],
-        ["optimize", *paper, "--method", "descent"],
-        ["optimize", *paper, "--method", "descent", "--format", "csv"],
-        ["optimize", *paper, "--method", "descent", "--format", "text"],
-        ["optimize", *paper, "--method", "grid"],
-        ["optimize", *paper, "--method", "grid", "--grid-resolution", "20", "--format", "text"],
-        ["optimize", *paper, "--max-iters", "2", "--format", "text"],
-        ["simulate", *paper, "--allocation", uniform, "--trials", "2000", "--seed", "7"],
-        ["simulate", *paper, "--allocation", uniform, "--trials", "2000", "--seed", "7", "--format", "text"],
-        ["simulate", *paper, "--allocation", uniform, "--trials", "3000", "--seed", "7", "--format", "csv"],
-        simulate_multichunk,
-        [*simulate_multichunk, "--dump-trials", OUTPUTS[0]],
-        ["score", *paper, "--allocation", uniform, "--estimator", "montecarlo", "--mc-samples", "70000", "--seed", "3"],
-        ["validate", *paper, "--allocation", uniform],
-        ["validate", *paper, "--allocation", uniform, "--format", "csv"],
-        ["validate", *paper, "--allocation", uniform, "--format", "text"],
-        ["validate", *paper, "--allocation", bad_sum],
-        ["validate", *paper, "--allocation", bad_sum, "--format", "csv"],
-        ["validate", *paper, "--allocation", bad_sum, "--format", "text"],
-        ["score", *partials, "--allocation", tuned],
-        ["compare", *partials, uniform, tuned],
-        ["optimize", *partials, "--method", "descent"],
-        exclusion_simulate,
-        [*exclusion_simulate, "--dump-trials", OUTPUTS[0]],
-        ["score", *exclusion, "--estimator", "montecarlo", "--mc-samples", "50010", "--seed", "6"],
+        *_golden_commands(),
         # Every --help text.
         ["--help"],
         *([command, "--help"] for command in ("validate", "score", "compare", "optimize", "simulate")),
